@@ -12,7 +12,8 @@ and ignored; tracked benchmarks missing from the results are reported (they
 usually indicate a renamed test) but do not fail the gate.  Refresh the
 baseline after an intentional perf change or a CI-hardware change with::
 
-    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=results.json
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-enable \
+        --benchmark-json=results.json
     python benchmarks/_harness.py update results.json
 """
 

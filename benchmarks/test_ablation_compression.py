@@ -115,7 +115,7 @@ def _noisy_sweep_timings():
     }
 
 
-def test_noisy_checkpointed_sweep_beats_per_level_walk(benchmark, request):
+def test_noisy_checkpointed_sweep_beats_per_level_walk(benchmark):
     results = run_once(benchmark, _noisy_sweep_timings)
     checkpoint_speedup = (results["per_level_seconds"]
                           / results["checkpointed_seconds"])
@@ -145,6 +145,6 @@ def test_noisy_checkpointed_sweep_beats_per_level_walk(benchmark, request):
     # purpose: the tier-1 suite runs these files with --benchmark-disable (and
     # coverage tracing), where a wall-clock assert would just add flake to
     # unrelated changes.
-    if not request.config.getoption("--benchmark-disable"):
+    if benchmark.enabled:
         assert checkpoint_speedup >= 1.5
         assert compile_speedup >= 1.5

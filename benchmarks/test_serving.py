@@ -90,7 +90,7 @@ def _warm_latencies(model_path):
     return timings
 
 
-def test_serving_warm_latency(benchmark, model_path, request):
+def test_serving_warm_latency(benchmark, model_path):
     timings = run_once(benchmark, _warm_latencies, model_path)
     print(f"\n[Serving] warm request latency ({MEMBERS} members)\n")
     print(markdown_table(
@@ -102,7 +102,7 @@ def test_serving_warm_latency(benchmark, model_path, request):
     # Wall-clock comparison, so asserted only where timings are the job's
     # purpose (tier-1 runs this file with --benchmark-disable under coverage
     # tracing, where it would just add flake).
-    if not request.config.getoption("--benchmark-disable"):
+    if benchmark.enabled:
         assert timings[64]["per_sample_ms"] < timings[1]["per_sample_ms"]
 
 
@@ -188,7 +188,7 @@ def test_serving_job_overhead(benchmark, model_path):
     assert results["overhead_ms_per_job"] < 100.0
 
 
-def test_serving_microbatch_speedup(benchmark, model_path, request):
+def test_serving_microbatch_speedup(benchmark, model_path):
     results = run_once(benchmark, _microbatch_vs_sequential, model_path)
     speedup = results["sequential_seconds"] / results["batched_seconds"]
     per_request = results["coalesced_requests"] / max(results["batches"], 1)
@@ -201,5 +201,5 @@ def test_serving_microbatch_speedup(benchmark, model_path, request):
     # The wall-clock claim is asserted only where timings are the job's
     # purpose: tier-1 runs this file with --benchmark-disable (and coverage
     # tracing), where a wall-clock assert would just add flake.
-    if not request.config.getoption("--benchmark-disable"):
+    if benchmark.enabled:
         assert speedup >= 1.5

@@ -4,13 +4,10 @@ The project is normally installed with ``pip install -e .`` (or
 ``python setup.py develop`` on machines without the ``wheel`` package); this hook
 only exists so that cloning the repository and running ``pytest`` immediately works.
 
-It also exposes ``--executor``/``--jobs`` options that select the ensemble
-executor strategy for the benchmark suite (exported through the
-``QUORUM_EXECUTOR``/``QUORUM_N_JOBS`` environment variables, which
-``ExperimentSettings`` reads), so CI can exercise e.g. the thread executor with
-``pytest benchmarks --executor threads --jobs 2``, plus
-``--fused-members``/``--no-fused-members`` (exported as
-``QUORUM_FUSED_MEMBERS``) to sweep cross-member fused execution.
+It also exposes a ``--jobs`` option that sets the ensemble worker count for the
+benchmark suite (exported through the ``QUORUM_N_JOBS`` environment variable,
+which ``ExperimentSettings`` reads), so e.g. ``pytest benchmarks --jobs 2`` runs
+every experiment's members on a two-worker process pool.
 """
 
 import os
@@ -24,28 +21,11 @@ if str(_SRC) not in sys.path:
 
 def pytest_addoption(parser):
     group = parser.getgroup("quorum")
-    group.addoption("--executor", action="store", default=None,
-                    help="ensemble executor strategy for benchmark runs "
-                         "(auto/serial/threads/processes)")
     group.addoption("--jobs", action="store", default=None, type=int,
                     help="ensemble workers for benchmark runs")
-    group.addoption("--fused-members", dest="fused_members",
-                    action="store_const", const="1", default=None,
-                    help="force cross-member fused execution for benchmark "
-                         "runs")
-    group.addoption("--no-fused-members", dest="fused_members",
-                    action="store_const", const="0",
-                    help="disable cross-member fused execution for benchmark "
-                         "runs")
 
 
 def pytest_configure(config):
-    executor = config.getoption("--executor")
     jobs = config.getoption("--jobs")
-    fused_members = config.getoption("fused_members")
-    if executor is not None:
-        os.environ["QUORUM_EXECUTOR"] = executor
     if jobs is not None:
         os.environ["QUORUM_N_JOBS"] = str(jobs)
-    if fused_members is not None:
-        os.environ["QUORUM_FUSED_MEMBERS"] = fused_members

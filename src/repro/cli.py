@@ -26,7 +26,6 @@ into issues or EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -48,7 +47,6 @@ from repro.experiments.fig10 import format_fig10, run_fig10
 from repro.experiments.report import render_report, run_full_evaluation, write_report
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2
-from repro.core.parallel import available_executors
 from repro.metrics.classification import evaluate_top_k
 from repro.metrics.detection import detection_rate_curve
 from repro.quantum.backend import available_simulation_backends
@@ -72,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_arguments(detect)
     detect.add_argument("--top", type=int, default=10,
                         help="how many top-scoring samples to list")
-    _add_executor_arguments(detect)
+    _add_execution_arguments(detect)
 
     compare = subparsers.add_parser("compare",
                                     help="compare Quorum against classical baselines")
     _add_data_arguments(compare)
     compare.add_argument("--ensembles", type=int, default=50)
     compare.add_argument("--seed", type=int, default=1234)
-    _add_executor_arguments(compare)
+    _add_execution_arguments(compare)
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate paper tables/figures (table1, fig8, fig9, "
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=11)
     experiment.add_argument("--skip-noisy", action="store_true",
                             help="skip the expensive noisy runs in fig9")
-    _add_executor_arguments(experiment)
+    _add_execution_arguments(experiment)
 
     report = subparsers.add_parser("report", help="run the full evaluation sweep")
     report.add_argument("--ensembles", type=int, default=60)
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the markdown report to this path")
     report.add_argument("--json", type=str, default=None,
                         help="also dump machine-readable results to this path")
-    _add_executor_arguments(report)
+    _add_execution_arguments(report)
 
     fit = subparsers.add_parser(
         "fit", help="fit Quorum and persist the ensemble as a model artifact")
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_arguments(fit)
     fit.add_argument("--save-model", type=str, required=True, metavar="PATH",
                      help="write the versioned model bundle to this path")
-    _add_executor_arguments(fit)
+    _add_execution_arguments(fit)
 
     score = subparsers.add_parser(
         "score", help="score samples against a saved model without refitting")
@@ -326,7 +324,7 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_detector(args: argparse.Namespace) -> QuorumDetector:
-    """One QuorumDetector from the shared detector + executor flags."""
+    """One QuorumDetector from the shared detector + execution flags."""
     return QuorumDetector(
         num_qubits=args.qubits,
         ensemble_groups=args.ensembles,
@@ -338,44 +336,19 @@ def _build_detector(args: argparse.Namespace) -> QuorumDetector:
         compile_circuits=not args.no_compile,
         noisy=args.noisy,
         seed=args.seed,
-        executor=args.executor,
-        n_jobs=_resolve_jobs(args),
-        fused_members=args.fused_members,
+        n_jobs=args.jobs,
     )
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", choices=available_executors(),
-                        default="auto",
-                        help="ensemble executor strategy; results are "
-                             "bit-identical across strategies for a fixed seed")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="ensemble workers (default: 1, or the CPU count "
-                             "when --executor names a parallel strategy)")
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="ensemble workers: 1 runs members serially, N>1 "
+                             "runs them on a process pool of N workers; "
+                             "scores are bit-identical either way")
     parser.add_argument("--no-compile", action="store_true",
                         help="interpret circuits gate by gate instead of "
                              "executing cached compiled operator programs "
                              "(reference path; slower)")
-    fused = parser.add_mutually_exclusive_group()
-    fused.add_argument("--fused-members", dest="fused_members",
-                       action="store_true", default=None,
-                       help="force cross-member fused execution: members "
-                            "sharing a circuit structure run as one stacked "
-                            "batch per sweep step (bit-identical scores)")
-    fused.add_argument("--no-fused-members", dest="fused_members",
-                       action="store_false",
-                       help="disable cross-member fusion even for "
-                            "--executor fused (per-member reference "
-                            "dispatch)")
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    """One worker by default; naming a parallel executor implies a real pool."""
-    if args.jobs is not None:
-        return args.jobs
-    if args.executor in ("threads", "processes"):
-        return os.cpu_count() or 1
-    return 1
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser,
@@ -473,8 +446,7 @@ def _command_compare(args: argparse.Namespace) -> int:
                               seed=args.seed,
                               anomaly_fraction_estimate=dataset.anomaly_fraction,
                               compile_circuits=not args.no_compile,
-                              executor=args.executor, n_jobs=_resolve_jobs(args),
-                              fused_members=args.fused_members)
+                              n_jobs=args.jobs)
     detector.fit(dataset)
     methods = {
         "Quorum (quantum)": detector.anomaly_scores(),
@@ -497,8 +469,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 def _command_experiment(args: argparse.Namespace) -> int:
     settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
                                   compile_circuits=not args.no_compile,
-                                  executor=args.executor, n_jobs=_resolve_jobs(args),
-                                  fused_members=args.fused_members)
+                                  n_jobs=args.jobs)
     for artifact in args.artifacts:
         if artifact == "table1":
             print("\n## Table I\n")
@@ -900,8 +871,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     settings = ExperimentSettings(ensemble_groups=args.ensembles, seed=args.seed,
                                   compile_circuits=not args.no_compile,
-                                  executor=args.executor, n_jobs=_resolve_jobs(args),
-                                  fused_members=args.fused_members)
+                                  n_jobs=args.jobs)
     report = run_full_evaluation(settings, include_noisy=not args.skip_noisy)
     if args.output:
         path = write_report(report, args.output, json_path=args.json)

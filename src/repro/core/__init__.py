@@ -31,9 +31,7 @@ from repro.core.ensemble import (
     run_ensemble_member,
 )
 from repro.core.parallel import (
-    ExecutorStrategy,
-    available_executors,
-    get_executor,
+    EnsembleRun,
     plan_members,
     run_ensemble_members,
 )
@@ -63,9 +61,7 @@ __all__ = [
     "plan_members",
     "execute_member",
     "run_ensemble_member",
-    "ExecutorStrategy",
-    "available_executors",
-    "get_executor",
+    "EnsembleRun",
     "run_ensemble_members",
     "QuorumDetector",
 ]

@@ -12,9 +12,10 @@ __all__ = ["QuorumConfig"]
 _BACKENDS = ("analytic", "density_matrix", "statevector")
 _ENTANGLEMENTS = ("linear", "ring", "full")
 _FEATURE_SCALINGS = ("circuit_sqrt", "dataset_sqrt", "dataset_linear")
-# Mirrors repro.core.parallel.available_executors(); kept literal here because
-# the parallel module imports this one.
-_EXECUTORS = ("auto", "fused", "serial", "threads", "processes")
+#: Fields that older model artifacts persist but no longer exist.  Both only
+#: chose how ensemble members were scheduled, and every schedule produced
+#: bitwise-identical scores, so :meth:`QuorumConfig.from_dict` drops them.
+_RETIRED_FIELDS = ("executor", "fused_members")
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,10 @@ class QuorumConfig:
     seed:
         Master seed; every ensemble member derives its own child seed from it.
     n_jobs:
-        Workers for the embarrassingly parallel ensemble loop (1 = serial).
-    executor:
-        Executor strategy running the ensemble members when ``n_jobs > 1``:
-        ``"serial"``, ``"threads"`` (zero-copy shared dataset, BLAS releases
-        the GIL), ``"processes"`` (dataset in shared memory), ``"fused"``
-        (cross-member stacked batches, see ``fused_members``), or ``"auto"``
-        (processes when ``n_jobs > 1``).  Results are bit-identical across
-        strategies for a fixed seed.
-    fused_members:
-        Cross-member fused execution: members sharing a compiled-circuit
-        structure signature run as ONE ``(members x levels x samples)``
-        stacked batch per sweep step instead of one dispatch per member.
-        ``True`` forces fusion regardless of ``executor``; ``False`` disables
-        it even for ``executor="fused"``; ``None`` (default) fuses exactly
-        when ``executor == "fused"``.  Scores stay bit-identical to the
-        serial path (shot noise is drawn per member from each member's own
-        RNG stream); unfusable configurations (statevector backend, mixed
-        structure signatures) fall back to per-member dispatch.
+        Workers for the embarrassingly parallel ensemble loop.  ``1`` runs
+        the members serially; a larger value runs them on a process pool of
+        that size, falling back to serial where no pool can be created.
+        Results are bit-identical either way for a fixed seed.
     """
 
     num_qubits: int = 3
@@ -114,8 +101,6 @@ class QuorumConfig:
     gate_level_encoding: bool = False
     seed: Optional[int] = 1234
     n_jobs: int = 1
-    executor: str = "auto"
-    fused_members: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_qubits < 2:
@@ -148,11 +133,6 @@ class QuorumConfig:
             raise ValueError("noisy simulation requires the density_matrix backend")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
-        if self.executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}")
-        if self.fused_members is not None and not isinstance(
-                self.fused_members, bool):
-            raise ValueError("fused_members must be True, False, or None")
         if self.compression_levels is not None:
             levels = tuple(int(level) for level in self.compression_levels)
             if not levels:
@@ -194,17 +174,6 @@ class QuorumConfig:
         return 1.0 / float(num_dataset_features)
 
     @property
-    def wants_fused_members(self) -> bool:
-        """Whether ensemble members should execute as cross-member batches.
-
-        ``fused_members`` overrides when set; otherwise fusion follows the
-        executor choice (``executor == "fused"``).
-        """
-        if self.fused_members is not None:
-            return self.fused_members
-        return self.executor == "fused"
-
-    @property
     def effective_anomaly_fraction(self) -> float:
         """The anomaly-fraction estimate used for bucket sizing."""
         if self.anomaly_fraction_estimate is not None:
@@ -236,13 +205,18 @@ class QuorumConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected loudly: a silently dropped knob in a loaded
-        model artifact would change scoring behaviour without any error.
+        model artifact would change scoring behaviour without any error.  The
+        only exceptions are the retired scheduling fields in
+        ``_RETIRED_FIELDS``, which older artifacts carry and which never
+        affected scores; they are dropped.
         """
+        values = dict(payload)
+        for key in _RETIRED_FIELDS:
+            values.pop(key, None)
         known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(values) - known)
         if unknown:
             raise ValueError(f"unknown QuorumConfig fields: {', '.join(unknown)}")
-        values = dict(payload)
         levels = values.get("compression_levels")
         if levels is not None:
             values["compression_levels"] = tuple(int(level) for level in levels)
@@ -264,6 +238,4 @@ class QuorumConfig:
             "noisy": self.noisy,
             "seed": self.seed,
             "n_jobs": self.n_jobs,
-            "executor": self.executor,
-            "fused_members": self.fused_members,
         }

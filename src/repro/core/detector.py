@@ -77,9 +77,8 @@ class QuorumDetector:
             self.config.bucket_probability,
         )
         seeds = derive_member_seeds(self.config.seed, self.config.ensemble_groups)
-        results, plans = run_ensemble_members(normalized, self.config, seeds,
-                                              bucket_size=bucket_size,
-                                              return_plans=True)
+        results, plans, executor = run_ensemble_members(
+            normalized, self.config, seeds, bucket_size=bucket_size)
 
         total = np.zeros(num_samples)
         runs = 0
@@ -98,7 +97,7 @@ class QuorumDetector:
                 "compression_levels": list(self.config.effective_compression_levels),
                 "backend": self.config.backend,
                 "noisy": self.config.noisy,
-                "executor": self.config.executor,
+                "executor": executor,
                 "n_jobs": self.config.n_jobs,
             },
         )

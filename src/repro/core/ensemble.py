@@ -12,8 +12,8 @@ The member lifecycle is split in two:
 * :func:`plan_member` performs the *cheap, data-independent* setup -- feature
   subset, bucket assignment, ansatz construction -- and captures it in a small
   picklable :class:`MemberPlan`.  Planning only needs the dataset's *shape*, so
-  executors can build every plan up front in the parent process and ship plans
-  (not datasets) to workers.
+  every plan is built up front in the parent process and a process pool ships
+  plans (not datasets) to its workers.
 * :func:`execute_member` performs the *heavy, data-dependent* work: amplitude
   encoding, one fused ``(levels x samples)`` batched SWAP-test sweep through the
   engine's ``p1_levels_batch``, and bucket scoring.  For noisy members this
@@ -24,14 +24,14 @@ The member lifecycle is split in two:
   through the shared :mod:`repro.quantum.compiler` cache -- the encoder
   becomes one fused unitary, the noisy suffix one cached Heisenberg-picture
   observable per level -- so the sweep executes as a handful of batched
-  matmuls.  The executor strategies in
-  :mod:`repro.core.parallel` call this against shared (zero-copy or
-  shared-memory) dataset views.
+  matmuls.  :func:`repro.core.parallel.run_ensemble_members` calls this in
+  the calling process or, with ``n_jobs > 1``, in pool workers against a
+  shared-memory dataset view.
 
 The plan carries the member RNG *after* its planning draws, so execution
 consumes shot-noise randomness in exactly the order the historical single-pass
-implementation did -- fixed-seed results are bit-identical no matter which
-executor runs the plan.  :func:`run_ensemble_member` remains as the one-call
+implementation did -- fixed-seed results are bit-identical whether the plan
+runs in the calling process or in a pool worker.  :func:`run_ensemble_member` remains as the one-call
 convenience wrapper (plan + execute).
 """
 
@@ -39,27 +39,24 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz
 from repro.core.bucketing import BucketAssignment, assign_buckets, bucket_size_for_probability
 from repro.core.config import QuorumConfig
-from repro.core.execution import SwapTestEngine, apply_shot_noise, make_engine
+from repro.core.execution import SwapTestEngine, make_engine
 from repro.core.feature_selection import select_feature_subset
 from repro.core.scoring import (BucketStatistics, bucket_deviations,
                                 bucket_statistics)
-from repro.quantum.compiler import structure_signature
 
 __all__ = [
     "EnsembleMemberResult",
     "MemberPlan",
     "batch_amplitudes",
     "plan_member",
-    "plan_structure_key",
     "execute_member",
-    "execute_member_group",
     "run_ensemble_member",
 ]
 
@@ -214,9 +211,9 @@ def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
     """Run one planned member over the (shared) normalized dataset.
 
     All compression levels of the member run as ONE fused
-    ``(levels x samples)`` batch through the engine's ``p1_levels_batch``.  The
-    hot path is the engine's batched linear algebra (GIL-releasing BLAS), which
-    is what makes the thread executor in :mod:`repro.core.parallel` effective.
+    ``(levels x samples)`` batch through the engine's ``p1_levels_batch``.
+    This is the only way a member executes: the serial loop and the process
+    pool in :mod:`repro.core.parallel` both call it.
     """
     normalized_data = np.asarray(normalized_data, dtype=float)
     if normalized_data.ndim != 2:
@@ -239,12 +236,7 @@ def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
 def _score_member(plan: MemberPlan, levels: Sequence[int],
                   p1_values: np.ndarray,
                   num_samples: int) -> EnsembleMemberResult:
-    """Convert one member's ``(levels, samples)`` SWAP-test outputs to a result.
-
-    Shared verbatim by :func:`execute_member` and
-    :func:`execute_member_group`, so fused and per-member execution score
-    through literally the same code.
-    """
+    """Convert one member's ``(levels, samples)`` SWAP-test outputs to a result."""
     deviations = np.zeros(num_samples)
     statistics: Dict[int, Tuple[float, float]] = {}
     references: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -266,74 +258,6 @@ def _score_member(plan: MemberPlan, levels: Sequence[int],
         p1_statistics=statistics,
         bucket_statistics=references,
     )
-
-
-def plan_structure_key(plan: MemberPlan) -> Tuple:
-    """Hashable compiled-circuit *structure* fingerprint of a member plan.
-
-    Plans with equal keys share qubit counts and ansatz shape (parameters --
-    the random rotation angles -- excluded), so their circuits lower to
-    compiled programs with identical block structure and the members can
-    execute as one stacked batch.  The fused executor groups plans by this
-    key; mixed-key ensembles fall back to per-member dispatch group by group.
-    """
-    ansatz = plan.ansatz
-    return (
-        ansatz.num_qubits,
-        structure_signature(
-            ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
-        ),
-    )
-
-
-def execute_member_group(normalized_data: np.ndarray,
-                         plans: Sequence[MemberPlan], config: QuorumConfig,
-                         engine: Optional[SwapTestEngine] = None
-                         ) -> List[EnsembleMemberResult]:
-    """Run a structure-signature group of members as ONE stacked batch.
-
-    All members' compression sweeps execute together through the engine's
-    :meth:`~repro.core.execution.SwapTestEngine.p1_levels_member_batch` -- one
-    ``(members x levels x samples)`` contraction per sweep step instead of one
-    dispatch per member -- and one engine (noise model, walker, compiler
-    handle) is built for the whole group instead of per member.
-
-    Bit-identity with the serial executor is preserved by construction: the
-    exact sweep consumes no randomness, and shot noise is then drawn *per
-    member* from each plan's own RNG in member-major order -- exactly the
-    stream the serial :func:`execute_member` would consume.  Callers must
-    group plans with :func:`plan_structure_key` first.
-    """
-    normalized_data = np.asarray(normalized_data, dtype=float)
-    if normalized_data.ndim != 2:
-        raise ValueError("normalized_data must be 2-D")
-    if not plans:
-        raise ValueError("execute_member_group needs at least one plan")
-    amplitude_stack = np.stack([
-        batch_amplitudes(normalized_data[:, plan.selected_features],
-                         config.num_qubits)
-        for plan in plans
-    ])
-    if engine is None:
-        engine = make_engine(
-            config.backend, config.shots, noisy=config.noisy,
-            gate_level_encoding=config.gate_level_encoding,
-            num_qubits=config.num_qubits,
-            simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
-        )
-    levels = config.effective_compression_levels
-    exact_p1 = engine.p1_levels_member_batch(
-        amplitude_stack, [plan.ansatz for plan in plans], levels
-    )
-    return [
-        _score_member(
-            plan, levels,
-            apply_shot_noise(exact_p1[member], config.shots, plan.rng),
-            normalized_data.shape[0],
-        )
-        for member, plan in enumerate(plans)
-    ]
 
 
 def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,

@@ -41,7 +41,7 @@ loop used, so fixed-seed results are unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,16 +51,13 @@ from repro.algorithms.autoencoder import (
     build_autoencoder_prefix,
     build_autoencoder_suffix,
 )
-from repro.encoding.amplitude import state_preparation_circuit
 from repro.quantum.backend import SimulationBackend, get_simulation_backend
-from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.backends import FakeBrisbane
 from repro.quantum.compiler import CircuitCompiler, default_compiler
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
     BatchedDensityMatrixSimulator,
     DensityMatrixSimulator,
-    IncompatibleMemberBatch,
 )
 
 __all__ = [
@@ -137,89 +134,6 @@ class SwapTestEngine(ABC):
             self.p1_batch(amplitudes, ansatz, level)
             for level in levels
         ])
-
-    def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
-                               ansatzes: Sequence[RandomAutoencoderAnsatz],
-                               compression_levels: Sequence[int]) -> np.ndarray:
-        """Exact P(1) for a whole signature group; ``(members, levels, samples)``.
-
-        The cross-member fused entry point: one call covers the compression
-        sweeps of *every* member in a structure-signature group
-        (``amplitude_stack[m]`` holds member ``m``'s encoded samples,
-        ``ansatzes[m]`` its random ansatz).  Probabilities are **exact** -- no
-        shot noise is applied and ``self.rng`` is never touched -- because the
-        caller (:func:`repro.core.ensemble.execute_member_group`) draws shot
-        noise per member from each plan's own restored RNG in member-major
-        order, which keeps every member's random stream bitwise identical to
-        the serial executor.
-
-        The default loops members through :meth:`_exact_levels_batch`;
-        :class:`AnalyticEngine` and :class:`DensityMatrixEngine` override it
-        with genuinely stacked computations (one member-batched contraction
-        per sweep step).
-        """
-        stack, ansatzes = self._validated_member_group(amplitude_stack,
-                                                       ansatzes)
-        levels = self._validated_levels(compression_levels, ansatzes[0])
-        return np.stack([
-            self._exact_levels_batch(stack[m], ansatzes[m], levels)
-            for m in range(stack.shape[0])
-        ])
-
-    def _exact_levels_batch(self, amplitudes: np.ndarray,
-                            ansatz: RandomAutoencoderAnsatz,
-                            levels: Sequence[int]) -> np.ndarray:
-        """Exact (shot-noise-free) ``(levels, samples)`` sweep probabilities.
-
-        Engines that support cross-member fusion expose their exact sweep
-        here (inputs pre-validated); shot-based engines (statevector) consume
-        RNG *during* evolution and therefore cannot separate exact
-        probabilities from noise, so they do not implement it -- the fused
-        executor never selects them.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no exact member-batched sweep; "
-            "run its members individually through p1_levels_batch"
-        )
-
-    def _validated_member_group(self, amplitude_stack: np.ndarray,
-                                ansatzes: Sequence[RandomAutoencoderAnsatz]
-                                ) -> tuple:
-        """Validate a member-batched sweep's stacked inputs."""
-        stack = np.asarray(amplitude_stack, dtype=float)
-        if stack.ndim != 3:
-            raise ValueError(
-                "amplitude_stack must be 3-D (members, samples, 2**n)"
-            )
-        ansatzes = list(ansatzes)
-        if not ansatzes or stack.shape[0] != len(ansatzes):
-            raise ValueError("one ansatz per member stack entry is required")
-        num_qubits = ansatzes[0].num_qubits
-        if any(ansatz.num_qubits != num_qubits for ansatz in ansatzes[1:]):
-            raise ValueError(
-                "a member group must share one register size; group plans by "
-                "structure signature before batching"
-            )
-        for member in range(stack.shape[0]):
-            self._validated_amplitudes(stack[member], ansatzes[member])
-        return stack, ansatzes
-
-    def _member_encoder_stack(self, ansatzes: Sequence[RandomAutoencoderAnsatz]
-                              ) -> np.ndarray:
-        """The group's ``(members, 2^n, 2^n)`` encoder parameter stack.
-
-        With compilation on, the stack is one cached member-stacked compile
-        (per-member fused unitaries are shared with the serial path's cache
-        entries, so results are bitwise identical to serial encoders); with
-        compilation off, the per-ansatz dense unitaries are stacked directly.
-        """
-        if self.compile_circuits:
-            circuits = [
-                ansatz.encoder_circuit(list(range(ansatz.num_qubits)))
-                for ansatz in ansatzes
-            ]
-            return self.compiler.member_stacked_unitary(circuits, self.backend)
-        return np.stack([ansatz.encoder_unitary() for ansatz in ansatzes])
 
     def p1_single(self, amplitudes: Sequence[float],
                   ansatz: RandomAutoencoderAnsatz,
@@ -327,39 +241,6 @@ class AnalyticEngine(SwapTestEngine):
         overlap = self.backend.compression_overlap_levels(phi, levels)
         return np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
 
-    def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
-                               ansatzes: Sequence[RandomAutoencoderAnsatz],
-                               compression_levels: Sequence[int]) -> np.ndarray:
-        """Whole signature group in one stacked encode + overlap pass.
-
-        The member axis rides along for free: the encoders become one
-        ``(members, dim, dim)`` parameter stack applied by a single batched
-        matmul, and the overlap reduction runs over the flattened
-        ``(members * samples)`` batch.  Both kernels are elementwise /
-        per-slice in the batch axis, so every member's slice is bitwise
-        identical to its serial :meth:`p1_levels_batch` result.
-        """
-        stack, ansatzes = self._validated_member_group(amplitude_stack,
-                                                       ansatzes)
-        levels = self._validated_levels(compression_levels, ansatzes[0])
-        members, samples, dim = stack.shape
-        psi = self.backend.as_states(
-            stack.reshape(members * samples, dim)
-        ).reshape(members, samples, dim)
-        phi = self.backend.apply_compiled_unitary_member_batch(
-            psi, self._member_encoder_stack(ansatzes)
-        )
-        overlap = self.backend.compression_overlap_levels(
-            phi.reshape(members * samples, dim), levels
-        )
-        exact_p1 = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
-        # (levels, members * samples) -> (members, levels, samples), C-ordered
-        # so the caller's per-member shot-noise draws see contiguous slices.
-        return np.ascontiguousarray(
-            exact_p1.reshape(len(levels), members, samples).transpose(1, 0, 2)
-        )
-
-
 class DensityMatrixEngine(SwapTestEngine):
     """Exact density-matrix simulation (optionally noisy).
 
@@ -412,8 +293,6 @@ class DensityMatrixEngine(SwapTestEngine):
     def _exact_levels_batch(self, amplitudes: np.ndarray,
                             ansatz: RandomAutoencoderAnsatz,
                             levels: Sequence[int]) -> np.ndarray:
-        if self.noise_model is not None or self.gate_level_encoding:
-            return self._circuit_level_sweep(amplitudes, ansatz, levels)
         backend = self.backend
         psi = backend.as_states(amplitudes)
         encoder = self._encoder_unitary(ansatz)
@@ -430,128 +309,6 @@ class DensityMatrixEngine(SwapTestEngine):
             overlap = backend.expectation_batch(level_rhos, psi)
             exact_p1[position] = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
         return exact_p1
-
-    def p1_levels_member_batch(self, amplitude_stack: np.ndarray,
-                               ansatzes: Sequence[RandomAutoencoderAnsatz],
-                               compression_levels: Sequence[int]) -> np.ndarray:
-        """Whole signature group through one member-batched circuit walk.
-
-        The noisy (or gate-level) compiled path is the genuinely fused one:
-        every member's per-sample prefixes walk together through
-        :meth:`~repro.quantum.simulator.BatchedDensityMatrixSimulator
-        .evolve_member_batch` (member-shared gate runs execute as
-        member-stacked compiled programs, per-sample encoding columns flatten
-        across members), and each level of the sweep is ONE member-batched
-        expectation of the group's stacked Heisenberg observables against the
-        ``(members, samples, d, d)`` checkpoint stack.  Interpreted mode
-        (``compile_circuits=False``) and the noiseless initialize-encoding
-        path keep the reference per-member loop.
-        """
-        if (self.noise_model is None and not self.gate_level_encoding) \
-                or not self.compile_circuits:
-            return super().p1_levels_member_batch(amplitude_stack, ansatzes,
-                                                  compression_levels)
-        stack, ansatzes = self._validated_member_group(amplitude_stack,
-                                                       ansatzes)
-        levels = self._validated_levels(compression_levels, ansatzes[0])
-        return self._circuit_level_member_sweep(stack, ansatzes, levels)
-
-    def _circuit_level_member_sweep(self, stack: np.ndarray,
-                                    ansatzes: Sequence[RandomAutoencoderAnsatz],
-                                    levels: Sequence[int]) -> np.ndarray:
-        """Member-batched twin of :meth:`_circuit_level_sweep`.
-
-        Falls back to per-member checkpoint walks (identical arithmetic,
-        shared walker) when per-sample structural divergence -- e.g. a
-        zero-amplitude rotation elided from one sample's encoding -- makes
-        the group's prefixes non-stackable.
-        """
-        members, samples = stack.shape[:2]
-        walker = BatchedDensityMatrixSimulator(
-            noise_model=self.noise_model, backend=self.backend,
-            compiler=self.compiler, compile_programs=self.compile_circuits,
-        )
-        member_prefixes = self._member_prefix_batches(stack, ansatzes)
-        try:
-            checkpoints = walker.evolve_member_batch(member_prefixes)
-        except IncompatibleMemberBatch:
-            checkpoints = np.stack([
-                walker.evolve_batch(prefixes) for prefixes in member_prefixes
-            ])
-        ancilla = 2 * ansatzes[0].num_qubits
-        exact_p1 = np.empty((members, len(levels), samples))
-        for position, level in enumerate(levels):
-            suffixes = [
-                build_autoencoder_suffix(ansatz, level, measure=False)
-                for ansatz in ansatzes
-            ]
-            observables = self.compiler.member_stacked_dual_observable(
-                suffixes, self.noise_model, ancilla, self.backend
-            )
-            exact_p1[:, position, :] = (
-                self.backend.observable_expectation_density_member_batch(
-                    checkpoints, observables
-                )
-            )
-        return exact_p1
-
-    def _member_prefix_batches(self, stack: np.ndarray,
-                               ansatzes: Sequence[RandomAutoencoderAnsatz]
-                               ) -> List[List[QuantumCircuit]]:
-        """Per-member prefix circuits with each distinct part built once.
-
-        :func:`~repro.algorithms.autoencoder.build_autoencoder_prefix`
-        synthesizes the sample's two-register state preparation and the
-        member's encoder for every (member, sample) pair.  Across a fused
-        signature group that re-synthesizes each member's encoder once per
-        sample and each repeated amplitude row (members drawing the same
-        feature subset encode identical rows) once per member.  Here the
-        encoding block is built once per *distinct* row, the encoder once per
-        member, and each prefix is assembled by instruction-list
-        concatenation -- instruction for instruction identical to the
-        per-pair builder, so structure signatures, compiled-program cache
-        keys, and walk results are all unchanged.
-        """
-        num_qubits = ansatzes[0].num_qubits
-        total_qubits = 2 * num_qubits + 1
-        register_a = list(range(num_qubits))
-        register_b = list(range(num_qubits, 2 * num_qubits))
-        encodings: Dict[bytes, List[Instruction]] = {}
-
-        def encoding_instructions(row: np.ndarray) -> List[Instruction]:
-            key = row.tobytes()
-            cached = encodings.get(key)
-            if cached is not None:
-                return cached
-            head = QuantumCircuit(total_qubits, 1)
-            if self.gate_level_encoding:
-                preparation = state_preparation_circuit(row, num_qubits)
-                head.compose(preparation, qubits=register_a,
-                             clbits=[0] * preparation.num_clbits)
-                head.compose(preparation, qubits=register_b,
-                             clbits=[0] * preparation.num_clbits)
-            else:
-                head.initialize(row, register_a)
-                head.initialize(row, register_b)
-            head.barrier()
-            encodings[key] = head.instructions
-            return head.instructions
-
-        member_prefixes: List[List[QuantumCircuit]] = []
-        for member, ansatz in enumerate(ansatzes):
-            encoder = ansatz.encoder_circuit(register_a,
-                                             num_circuit_qubits=total_qubits)
-            tail = QuantumCircuit(total_qubits, 1)
-            tail.compose(encoder, clbits=[0] * encoder.num_clbits)
-            batch: List[QuantumCircuit] = []
-            for row in stack[member]:
-                prefix = QuantumCircuit(total_qubits, 1,
-                                        name="quorum_autoencoder_prefix")
-                prefix.instructions = (encoding_instructions(row)
-                                       + tail.instructions)
-                batch.append(prefix)
-            member_prefixes.append(batch)
-        return member_prefixes
 
     def p1_levels_batch_circuit_level(self, amplitudes: np.ndarray,
                                       ansatz: RandomAutoencoderAnsatz,

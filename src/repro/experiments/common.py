@@ -55,23 +55,15 @@ class ExperimentSettings:
         Training epochs of the QNN baseline.
     qnn_train_fraction:
         Fraction of the dataset (with labels) given to the supervised QNN.
-    executor:
-        Executor strategy for the ensemble members (``auto``/``serial``/
-        ``threads``/``processes``); defaults to the ``QUORUM_EXECUTOR``
-        environment variable so the benchmark harness can sweep strategies
-        without editing every experiment module.
     n_jobs:
-        Ensemble workers (defaults to ``QUORUM_N_JOBS``; 1 = serial).
+        Ensemble workers: ``1`` runs members serially, a larger value runs
+        them on a process pool of that size.  Defaults to the
+        ``QUORUM_N_JOBS`` environment variable so the benchmark harness can
+        set it without editing every experiment module.
     compile_circuits:
         Execute compiled operator programs (default) or the gate-by-gate
         interpreted reference paths; defaults to the ``QUORUM_COMPILE``
         environment variable (set it to ``0`` to interpret).
-    fused_members:
-        Cross-member fused execution (``True``/``False``/``None`` = follow
-        the executor choice); defaults to the ``QUORUM_FUSED_MEMBERS``
-        environment variable (``1`` forces fusion on, ``0`` off, unset
-        leaves it to the executor), mirroring the other execution knobs so
-        the benchmark harness and CI can sweep it without editing modules.
     """
 
     ensemble_groups: int = 60
@@ -81,17 +73,10 @@ class ExperimentSettings:
     noisy_subsample: Optional[int] = 140
     qnn_epochs: int = 60
     qnn_train_fraction: float = 0.6
-    executor: str = field(
-        default_factory=lambda: os.environ.get("QUORUM_EXECUTOR", "auto"))
     n_jobs: int = field(
         default_factory=lambda: int(os.environ.get("QUORUM_N_JOBS", "1")))
     compile_circuits: bool = field(
         default_factory=lambda: os.environ.get("QUORUM_COMPILE", "1") != "0")
-    fused_members: Optional[bool] = field(
-        default_factory=lambda: (
-            None if os.environ.get("QUORUM_FUSED_MEMBERS") in (None, "")
-            else os.environ.get("QUORUM_FUSED_MEMBERS") != "0"
-        ))
 
     def quorum_config(self, dataset_name: str, **overrides: object) -> QuorumConfig:
         """Base Quorum config for ``dataset_name`` (Table I bucket probability)."""
@@ -102,10 +87,8 @@ class ExperimentSettings:
             bucket_probability=spec.bucket_probability,
             anomaly_fraction_estimate=spec.anomalies / spec.samples,
             seed=self.seed,
-            executor=self.executor,
             n_jobs=self.n_jobs,
             compile_circuits=self.compile_circuits,
-            fused_members=self.fused_members,
         )
         return base.with_overrides(**overrides) if overrides else base
 

@@ -246,98 +246,6 @@ class SimulationBackend(ABC):
         flat = rhos.reshape(rhos.shape[0], -1)
         return np.real(flat @ observable.conj().reshape(-1))
 
-    # ------------------------------------------------- member-stacked programs
-    def _validated_member_stack(self, stack: np.ndarray,
-                                ndim: int) -> np.ndarray:
-        stack = np.asarray(stack, dtype=self.dtype)
-        if stack.ndim != ndim:
-            raise ValueError(
-                f"a member stack must be {ndim}-D with a leading member axis; "
-                f"got shape {stack.shape}"
-            )
-        return stack
-
-    def apply_compiled_unitary_member_batch(self, states: np.ndarray,
-                                            unitaries: np.ndarray) -> np.ndarray:
-        """Apply per-member fused unitaries to a stacked state batch.
-
-        ``states`` is ``(members, batch, dim)`` -- one state batch per ensemble
-        member -- and ``unitaries`` is the compiler's member-stacked
-        ``(members, dim, dim)`` parameter stack
-        (:meth:`repro.quantum.compiler.CircuitCompiler.member_stacked_unitary`).
-        Row ``(m, b)`` of the result is ``U_m |psi_{m,b}>``: the whole
-        ensemble sweep step in one dispatch.  The default chains
-        :meth:`apply_unitary_batch` per member so every backend inherits the
-        primitive; array backends override with one batched contraction.
-        """
-        states = self._validated_member_stack(states, 3)
-        unitaries = self._validated_member_stack(unitaries, 3)
-        if (unitaries.shape[0] != states.shape[0]
-                or unitaries.shape[1:] != (states.shape[2], states.shape[2])):
-            raise ValueError("unitary stack does not match the state stack")
-        return np.stack([self.apply_unitary_batch(states[m], unitaries[m])
-                         for m in range(states.shape[0])])
-
-    def apply_compiled_superoperator_member_batch(self, rhos: np.ndarray,
-                                                  program) -> np.ndarray:
-        """Run a member-stacked channel program over a stacked density batch.
-
-        ``rhos`` is ``(members, batch, d, d)`` and ``program`` a
-        :class:`repro.quantum.compiler.MemberStackedProgram` (or any iterable
-        of member-stacked operators): the structure is shared, member ``m``'s
-        parameters live in ``operator.matrices[m]``.  The default dispatches
-        each member's slice through the exact single-member kernels
-        (:meth:`apply_gate_density_batch` /
-        :meth:`apply_superoperator_density_batch`), which keeps the results
-        bitwise identical to a serial per-member replay; on-device backends
-        can override with one cross-member batched kernel per operator.
-        """
-        rhos = self._validated_member_stack(rhos, 4)
-        if rhos.shape[2] != rhos.shape[3]:
-            raise ValueError("a stacked density batch must be (members, "
-                             "batch, d, d)")
-        members = rhos.shape[0]
-        operators = tuple(getattr(program, "operators", program))
-        for operator in operators:
-            if operator.matrices.shape[0] != members:
-                raise ValueError("operator stack does not match the member "
-                                 "count of the density stack")
-        results = []
-        for m in range(members):
-            rho_m = rhos[m]
-            for operator in operators:
-                matrix = operator.matrices[m]
-                if operator.kind == "unitary":
-                    rho_m = self.apply_gate_density_batch(rho_m, matrix,
-                                                          operator.qubits)
-                else:
-                    rho_m = self.apply_superoperator_density_batch(
-                        rho_m, matrix, operator.qubits)
-            results.append(rho_m)
-        return np.stack(results)
-
-    def observable_expectation_density_member_batch(self, rhos: np.ndarray,
-                                                    observables: np.ndarray
-                                                    ) -> np.ndarray:
-        """Member-stacked Hilbert-Schmidt expectations; ``(members, batch)``.
-
-        ``rhos`` is ``(members, batch, d, d)`` and ``observables`` the
-        compiler's ``(members, d, d)`` stacked Heisenberg observables: entry
-        ``(m, b)`` is ``Re <O_m, rho_{m,b}>``, i.e. one whole ensemble level
-        step against the stacked density checkpoints.  The default chains
-        :meth:`observable_expectation_density_batch` per member.
-        """
-        rhos = self._validated_member_stack(rhos, 4)
-        observables = self._validated_member_stack(observables, 3)
-        if (observables.shape[0] != rhos.shape[0]
-                or observables.shape[1:] != rhos.shape[2:]):
-            raise ValueError("observable stack does not match the density "
-                             "stack")
-        return np.stack([
-            self.observable_expectation_density_batch(rhos[m], observables[m])
-            for m in range(rhos.shape[0])
-        ])
-
     def reset_qubit_density_batch(self, rhos: np.ndarray,
                                   qubit: int) -> np.ndarray:
         """Non-selectively reset one qubit of every density matrix to |0>.
@@ -703,36 +611,6 @@ class NumpyBackend(SimulationBackend):
         blocks = diagonal.reshape(batch, dim // (2 * low), 2, low)
         return np.sum(blocks[:, :, 1, :], axis=(1, 2))
 
-    # ------------------------------------------------- member-stacked programs
-    # The batched overrides below are chosen so each member's slice runs the
-    # SAME per-slice BLAS call as the single-member kernel: ``np.matmul`` on
-    # stacked operands dispatches one GEMM/GEMV per leading-axis entry, so the
-    # fused ensemble dispatch stays bitwise identical to the serial per-member
-    # loop (asserted by the executor determinism suite).
-    def apply_compiled_unitary_member_batch(self, states: np.ndarray,
-                                            unitaries: np.ndarray) -> np.ndarray:
-        states = self._validated_member_stack(states, 3)
-        unitaries = self._validated_member_stack(unitaries, 3)
-        if (unitaries.shape[0] != states.shape[0]
-                or unitaries.shape[1:] != (states.shape[2], states.shape[2])):
-            raise ValueError("unitary stack does not match the state stack")
-        # Row (m, b) of the result is U_m |psi_{m,b}>.
-        return np.matmul(states, np.swapaxes(unitaries, -1, -2))
-
-    def observable_expectation_density_member_batch(self, rhos: np.ndarray,
-                                                    observables: np.ndarray
-                                                    ) -> np.ndarray:
-        rhos = self._validated_member_stack(rhos, 4)
-        observables = self._validated_member_stack(observables, 3)
-        if (observables.shape[0] != rhos.shape[0]
-                or observables.shape[1:] != rhos.shape[2:]):
-            raise ValueError("observable stack does not match the density "
-                             "stack")
-        members, batch = rhos.shape[0], rhos.shape[1]
-        flat = rhos.reshape(members, batch, -1)
-        vecs = observables.conj().reshape(members, -1, 1)
-        return np.real(np.matmul(flat, vecs)[..., 0])
-
 
 class NumpyFloat32Backend(NumpyBackend):
     """Single-precision variant of the reference backend.
@@ -768,12 +646,6 @@ class NumpyFloat32Backend(NumpyBackend):
                                              ) -> np.ndarray:
         return super().observable_expectation_density_batch(
             rhos, observable).astype(np.float64)
-
-    def observable_expectation_density_member_batch(self, rhos: np.ndarray,
-                                                    observables: np.ndarray
-                                                    ) -> np.ndarray:
-        return super().observable_expectation_density_member_batch(
-            rhos, observables).astype(np.float64)
 
 
 _REGISTRY: Dict[str, Callable[[], SimulationBackend]] = {}

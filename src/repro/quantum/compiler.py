@@ -59,12 +59,9 @@ from repro.quantum.transpiler import optimize_instructions
 __all__ = [
     "FusedOperator",
     "CompiledProgram",
-    "MemberStackedOperator",
-    "MemberStackedProgram",
     "CompilerStats",
     "CircuitCompiler",
     "circuit_signature",
-    "structure_signature",
     "noise_model_fingerprint",
     "default_compiler",
 ]
@@ -115,39 +112,6 @@ class CompiledProgram:
         return len(self.operators)
 
 
-@dataclass(frozen=True, eq=False)
-class MemberStackedOperator:
-    """One parameter-stacked operator of a member-stacked program.
-
-    ``matrices`` carries a leading *member* axis: ``matrices[m]`` is the dense
-    operator of ensemble member ``m`` for this program position.  All members
-    share ``kind`` and ``qubits`` (the stack is only built for circuits with
-    equal :func:`structure_signature`), so a backend can dispatch the whole
-    ensemble step as one batched contraction.
-    """
-
-    kind: str
-    matrices: np.ndarray  # (members, dim, dim) or (members, 4^k, 4^k)
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class MemberStackedProgram:
-    """A compiled program whose operators carry a leading member axis.
-
-    The parameterized variant of :class:`CompiledProgram`: the structure
-    (operator kinds, supports, ordering) is compiled once per signature group
-    and the per-member parameters live in the stacked matrices.
-    """
-
-    num_qubits: int
-    num_members: int
-    operators: Tuple[MemberStackedOperator, ...]
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
 @dataclass
 class CompilerStats:
     """Observable cache behaviour (asserted by the regression tests).
@@ -155,14 +119,11 @@ class CompilerStats:
     ``compiles`` counts actual lowerings; ``hits``/``misses`` count cache
     lookups.  A repeated compile of the same (circuit, noise model, dtype)
     must increment ``hits`` and leave ``compiles`` unchanged.
-    ``group_compiles`` counts member-stacked artifact builds (one signature
-    group stacked into a parameterized program or operator stack).
     """
 
     compiles: int = 0
     hits: int = 0
     misses: int = 0
-    group_compiles: int = 0
 
 
 def circuit_signature(circuit: QuantumCircuit) -> Tuple:
@@ -180,28 +141,6 @@ def circuit_signature(circuit: QuantumCircuit) -> Tuple:
                      if instruction.state is not None else None)
         items.append((instruction.name, instruction.qubits, instruction.params,
                       instruction.clbits, matrix_key, state_key))
-    return (circuit.num_qubits, tuple(items))
-
-
-def structure_signature(circuit: QuantumCircuit) -> Tuple:
-    """Hashable fingerprint of a circuit's *structure*, parameters excluded.
-
-    Two circuits with equal structure signatures run the same instruction
-    stream over the same qubits and differ only in continuous payloads
-    (rotation angles, explicit ``unitary`` matrices, ``initialize`` state
-    vectors -- only the payload *shapes* are covered).  Such circuits lower to
-    compiled programs with identical block structure, so a whole ensemble of
-    them can execute as one member-stacked batch
-    (:meth:`CircuitCompiler.member_stacked_channel_program`).
-    """
-    items = []
-    for instruction in circuit.instructions:
-        matrix_shape = (instruction.matrix.shape
-                        if instruction.matrix is not None else None)
-        state_shape = (instruction.state.shape
-                       if instruction.state is not None else None)
-        items.append((instruction.name, instruction.qubits, instruction.clbits,
-                      matrix_shape, state_shape))
     return (circuit.num_qubits, tuple(items))
 
 
@@ -287,8 +226,6 @@ class CircuitCompiler:
             return value.nbytes
         if isinstance(value, CompiledProgram):
             return sum(op.matrix.nbytes for op in value.operators)
-        if isinstance(value, MemberStackedProgram):
-            return sum(op.matrices.nbytes for op in value.operators)
         return 0
 
     def _get_or_compile(self, key: Tuple, builder: Callable[[], object]) -> object:
@@ -459,124 +396,6 @@ class CircuitCompiler:
             return result
 
         return self._get_or_compile(key, build)
-
-    def member_stacked_unitary(self, circuits: Sequence[QuantumCircuit],
-                               backend: Union[str, SimulationBackend,
-                                              None] = None) -> np.ndarray:
-        """Stack :meth:`fused_unitary` over a signature group of circuits.
-
-        Returns a read-only ``(members, 2^n, 2^n)`` array -- the parameter
-        stack of the group's encoder unitaries, consumed by
-        :meth:`~repro.quantum.backend.SimulationBackend.apply_compiled_unitary_member_batch`
-        as one batched matmul.  All circuits must share a
-        :func:`structure_signature`; per-member fused unitaries are pulled
-        from (and populate) the ordinary compiled cache, so stacking after a
-        serial run recompiles nothing.
-        """
-        backend = get_simulation_backend(backend)
-        self._require_uniform_structure(circuits)
-        key = ("member_stacked_unitary", str(backend.dtype), self.optimize,
-               tuple(circuit_signature(circuit) for circuit in circuits))
-
-        def build() -> np.ndarray:
-            stack = np.stack([self.fused_unitary(circuit, backend)
-                              for circuit in circuits])
-            stack.setflags(write=False)
-            self.stats.group_compiles += 1
-            return stack
-
-        return self._get_or_compile(key, build)
-
-    def member_stacked_dual_observable(self, circuits: Sequence[QuantumCircuit],
-                                       noise_model: Optional[NoiseModel],
-                                       qubit: int,
-                                       backend: Union[str, SimulationBackend,
-                                                      None] = None
-                                       ) -> np.ndarray:
-        """Stack :meth:`dual_observable` over a signature group of circuits.
-
-        Returns a read-only ``(members, 2^n, 2^n)`` observable stack: one
-        Heisenberg-picture readout observable per member, so a whole
-        ensemble's level step is one member-batched expectation against the
-        stacked density checkpoints.
-        """
-        backend = get_simulation_backend(backend)
-        self._require_uniform_structure(circuits)
-        key = ("member_stacked_dual_observable", str(backend.dtype),
-               self.max_superop_qubits, int(qubit),
-               tuple(circuit_signature(circuit) for circuit in circuits),
-               noise_model_fingerprint(noise_model))
-
-        def build() -> np.ndarray:
-            stack = np.stack([self.dual_observable(circuit, noise_model,
-                                                   qubit, backend)
-                              for circuit in circuits])
-            stack.setflags(write=False)
-            self.stats.group_compiles += 1
-            return stack
-
-        return self._get_or_compile(key, build)
-
-    def member_stacked_channel_program(self, circuits: Sequence[QuantumCircuit],
-                                       noise_model: Optional[NoiseModel] = None,
-                                       backend: Union[str, SimulationBackend,
-                                                      None] = None
-                                       ) -> MemberStackedProgram:
-        """Compile a signature group into one parameter-stacked program.
-
-        The structure is lowered once (per-member :meth:`channel_program`
-        results share block kinds, supports, and ordering because the
-        circuits share a :func:`structure_signature`); the per-member
-        operator matrices are stacked along a leading member axis.
-        """
-        backend = get_simulation_backend(backend)
-        self._require_uniform_structure(circuits)
-        key = ("member_stacked_channel_program", str(backend.dtype),
-               self.max_superop_qubits,
-               tuple(circuit_signature(circuit) for circuit in circuits),
-               noise_model_fingerprint(noise_model))
-
-        def build() -> MemberStackedProgram:
-            programs = [self.channel_program(circuit, noise_model, backend)
-                        for circuit in circuits]
-            first = programs[0]
-            for program in programs[1:]:
-                same = (len(program.operators) == len(first.operators)
-                        and all(a.kind == b.kind and a.qubits == b.qubits
-                                for a, b in zip(program.operators,
-                                                first.operators)))
-                if not same:
-                    raise ValueError(
-                        "circuits with equal structure signatures lowered to "
-                        "different block shapes; cannot stack the group"
-                    )
-            operators = tuple(
-                MemberStackedOperator(
-                    kind=template.kind,
-                    matrices=np.stack([program.operators[position].matrix
-                                       for program in programs]),
-                    qubits=template.qubits,
-                )
-                for position, template in enumerate(first.operators)
-            )
-            self.stats.group_compiles += 1
-            return MemberStackedProgram(num_qubits=first.num_qubits,
-                                        num_members=len(programs),
-                                        operators=operators)
-
-        return self._get_or_compile(key, build)
-
-    @staticmethod
-    def _require_uniform_structure(circuits: Sequence[QuantumCircuit]) -> None:
-        if not circuits:
-            raise ValueError("member stacking needs at least one circuit")
-        first = structure_signature(circuits[0])
-        for circuit in circuits[1:]:
-            if structure_signature(circuit) != first:
-                raise ValueError(
-                    "member-stacked compilation requires a uniform structure "
-                    "signature; group the circuits before stacking"
-                )
 
     # -------------------------------------------------------------- lowering
     def _build_unitary_program(self, circuit: QuantumCircuit,

@@ -40,20 +40,7 @@ __all__ = [
     "StatevectorSimulator",
     "DensityMatrixSimulator",
     "BatchedDensityMatrixSimulator",
-    "IncompatibleMemberBatch",
 ]
-
-
-class IncompatibleMemberBatch(ValueError):
-    """A member group cannot walk as one stacked batch.
-
-    Raised by :meth:`BatchedDensityMatrixSimulator.evolve_member_batch` when
-    the group's circuits diverge structurally (e.g. a near-zero amplitude
-    elides one sample's encoding rotation) or when a gate column is shared
-    within some members but per-sample in others.  Callers fall back to
-    per-member :meth:`~BatchedDensityMatrixSimulator.evolve_batch` walks,
-    which handle arbitrary divergence and produce identical results.
-    """
 
 
 @dataclass
@@ -574,171 +561,6 @@ class BatchedDensityMatrixSimulator:
                     [circuits[i] for i in selected], initial
                 )
         return results
-
-    def evolve_member_batch(self, member_circuits: Sequence[Sequence[QuantumCircuit]]
-                            ) -> np.ndarray:
-        """Walk a whole signature group of per-member sample batches at once.
-
-        ``member_circuits[m]`` holds ensemble member ``m``'s per-sample
-        circuits (all members carry the same sample count and the same
-        instruction structure -- same gates on the same qubits, parameters
-        free to differ).  The walk mirrors :meth:`evolve_batch`'s compiled
-        walk with the member axis batched through:
-
-        * gate columns *shared within every member* (ansatz gates, resets,
-          their noise channels) accumulate into runs that compile to ONE
-          member-stacked channel program per run
-          (:meth:`~repro.quantum.compiler.CircuitCompiler
-          .member_stacked_channel_program`) and apply via
-          :meth:`~repro.quantum.backend.SimulationBackend
-          .apply_compiled_superoperator_member_batch`;
-        * genuinely per-sample columns (``initialize`` payloads, per-sample
-          state-preparation rotations) flatten across members into one
-          ``(members * samples)`` batch per column.
-
-        Every member's slice runs the exact kernel sequence of a per-member
-        :meth:`evolve_batch` call, so results are bitwise identical to the
-        serial walk.  Returns ``(members, samples, d, d)``.
-
-        Raises :class:`IncompatibleMemberBatch` when the group cannot walk as
-        one stack (structural divergence between samples, a column shared in
-        some members but per-sample in others, interpreted mode, or a sample
-        batch larger than one walk chunk); callers fall back to per-member
-        :meth:`evolve_batch`.
-        """
-        members = len(member_circuits)
-        if members < 1 or any(len(batch) < 1 for batch in member_circuits):
-            raise ValueError("evolve_member_batch needs at least one circuit "
-                             "per member")
-        samples = len(member_circuits[0])
-        if any(len(batch) != samples for batch in member_circuits):
-            raise ValueError("every member must carry the same sample count")
-        if not self.compile_programs:
-            raise IncompatibleMemberBatch(
-                "the interpreted reference walk has no member-stacked variant"
-            )
-        num_qubits = member_circuits[0][0].num_qubits
-        dim = 2 ** num_qubits
-        if samples > max(1, self.MAX_FLAT_ELEMENTS // (dim * dim)):
-            # The serial walk would chunk each member's batch; per-chunk
-            # shared-gate classification could then diverge from whole-batch
-            # classification, so keep those walks on the per-member path.
-            raise IncompatibleMemberBatch(
-                "sample batch exceeds one walk chunk; run members "
-                "individually"
-            )
-        signature = tuple(
-            (instruction.name, instruction.qubits)
-            for instruction in member_circuits[0][0].instructions
-        )
-        for batch in member_circuits:
-            for circuit in batch:
-                if circuit.num_qubits != num_qubits or tuple(
-                    (instruction.name, instruction.qubits)
-                    for instruction in circuit.instructions
-                ) != signature:
-                    raise IncompatibleMemberBatch(
-                        "member group diverges structurally; run members "
-                        "individually"
-                    )
-        return self._evolve_member_group_compiled(member_circuits, num_qubits,
-                                                  members, samples, dim)
-
-    def _evolve_member_group_compiled(self, member_circuits, num_qubits: int,
-                                      members: int, samples: int,
-                                      dim: int) -> np.ndarray:
-        """Compiled member-stacked walk over a structure-uniform group.
-
-        The walk bookkeeping -- instruction iteration, shared/per-sample
-        column classification, flush scheduling -- runs ONCE for the whole
-        group, but the heavy density kernels dispatch per member slice: each
-        member's ``(samples, d, d)`` batch stays cache-resident, and every
-        slice runs the exact kernel sequence (and hits the same
-        compiled-program cache entries) as a per-member :meth:`evolve_batch`
-        walk, which is what makes the stacked result bitwise identical to the
-        serial one.  An earlier variant flattened the group into one
-        ``(members * samples, d, d)`` batch; at ensemble scale those arrays
-        fall out of cache and the walk went memory-bound, slower than the
-        serial path it replaced.
-        """
-        backend = self.backend
-        rho_batches = [
-            backend.density_from_states(
-                backend.zero_states(samples, num_qubits)
-            )
-            for _ in range(members)
-        ]
-        pending: List[int] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            for member, batch in enumerate(member_circuits):
-                template = batch[0]
-                shared = QuantumCircuit(num_qubits, 1, name="compiled_run")
-                shared.instructions = [template.instructions[p]
-                                       for p in pending]
-                program = self.compiler.channel_program(
-                    shared, self.noise_model, backend
-                )
-                rho_batches[member] = (
-                    backend.apply_compiled_superoperator_batch(
-                        rho_batches[member], program
-                    )
-                )
-            pending.clear()
-
-        for position, instruction in enumerate(
-                member_circuits[0][0].instructions):
-            name = instruction.name
-            if name in {"barrier", "measure"}:
-                continue
-            if name == "reset":
-                pending.append(position)
-                continue
-            if name == "initialize":
-                flush()
-                for member, batch in enumerate(member_circuits):
-                    states = [circuit.instructions[position].state
-                              for circuit in batch]
-                    if any(state is None for state in states):
-                        raise ValueError("initialize instruction is missing "
-                                         "its statevector")
-                    rho_batches[member] = self._apply_initialize_batch(
-                        rho_batches[member], np.stack(states),
-                        instruction.qubits, num_qubits
-                    )
-                continue
-            member_matrices = [
-                [circuit.instructions[position].matrix_or_standard()
-                 for circuit in batch]
-                for batch in member_circuits
-            ]
-            shared_flags = [
-                all(matrix is matrices[0]
-                    or np.array_equal(matrix, matrices[0])
-                    for matrix in matrices[1:])
-                for matrices in member_matrices
-            ]
-            if all(shared_flags):
-                pending.append(position)
-                continue
-            if any(shared_flags):
-                # Shared for some members, per-sample for others: the serial
-                # walk would compile the column for the former and stack it
-                # for the latter, and replicating that split is not worth the
-                # complexity for a case amplitude encoding never produces.
-                raise IncompatibleMemberBatch(
-                    "gate column is shared within some members but "
-                    "per-sample in others"
-                )
-            flush()
-            for member, matrices in enumerate(member_matrices):
-                rho_batches[member] = self._apply_per_sample_column(
-                    rho_batches[member], instruction, matrices
-                )
-        flush()
-        return np.stack(rho_batches)
 
     def replay_suffix_batch(self, checkpoint_rhos: np.ndarray,
                             circuit: QuantumCircuit) -> np.ndarray:

@@ -215,7 +215,6 @@ class ModelRegistry:
             "models": models,
             "compiler_cache": {
                 "compiles": stats.compiles,
-                "group_compiles": stats.group_compiles,
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "entries": self.compiler.cache_size(),

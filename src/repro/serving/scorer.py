@@ -31,17 +31,6 @@ the per-request marginal cost is the sample-dependent prefix plus one matmul
 per compression level -- the compiled encoder unitaries and suffix observables
 come from the process-wide compiler cache and are reused across requests.
 
-When the model was fitted with cross-member fusion
-(``QuorumConfig.wants_fused_members``, or the ``fused_members`` constructor
-override), the scorer additionally stacks the exact sweeps of members sharing
-a compiled-circuit structure signature into one ``(members x levels x
-samples)`` dispatch per group
-(:meth:`~repro.core.execution.SwapTestEngine.p1_levels_member_batch`).  Shot
-noise is still drawn per member afterwards, so fused scores remain bitwise
-identical to the member-by-member sweep; the ``stacked_dispatches`` and
-``members_per_dispatch`` counters in :meth:`OnlineScorer.diagnostics` show
-the grouping in effect.
-
 The trajectory-sampled statevector engine consumes randomness *during*
 evolution, so its requests are executed one at a time (each with a freshly
 restored member RNG); they still flow through the same queue.
@@ -59,7 +48,7 @@ import numpy as np
 
 from repro.core.bucketing import BucketAssignment
 from repro.core.config import QuorumConfig
-from repro.core.ensemble import batch_amplitudes, plan_structure_key
+from repro.core.ensemble import batch_amplitudes
 from repro.core.execution import SwapTestEngine, apply_shot_noise, make_engine
 from repro.core.scoring import (BucketStatistics, bucket_deviations,
                                 reference_deviations)
@@ -143,10 +132,9 @@ class OnlineScorer:
     ----------
     artifact:
         A loaded :class:`~repro.serving.artifact.ModelArtifact`.
-    simulation_backend / compile_circuits / fused_members:
+    simulation_backend / compile_circuits:
         Optional overrides of the artifact's config (e.g. score on a different
-        kernel backend than the model was fitted on, or force cross-member
-        fused execution on/off regardless of the fitted executor choice).
+        kernel backend than the model was fitted on).
     compiler:
         Compiled-program cache the engines should use; defaults to the
         process-wide shared instance.  Tests pass a private compiler so cache
@@ -168,7 +156,6 @@ class OnlineScorer:
     def __init__(self, artifact: ModelArtifact,
                  simulation_backend: Optional[str] = None,
                  compile_circuits: Optional[bool] = None,
-                 fused_members: Optional[bool] = None,
                  compiler: Optional[CircuitCompiler] = None,
                  max_batch_samples: int = 512,
                  batch_window_s: float = 0.002,
@@ -183,8 +170,6 @@ class OnlineScorer:
             overrides["simulation_backend"] = simulation_backend
         if compile_circuits is not None:
             overrides["compile_circuits"] = compile_circuits
-        if fused_members is not None:
-            overrides["fused_members"] = fused_members
         if overrides:
             config = config.with_overrides(**overrides)
         self.artifact = artifact
@@ -209,19 +194,6 @@ class OnlineScorer:
             for member in artifact.members
         ]
         self._fusable = config.backend in _FUSABLE_BACKENDS
-        self._fused_members = bool(
-            self._fusable and config.wants_fused_members
-            and len(self._members) > 1)
-        # Members whose compiled circuits share a structure signature execute
-        # as one stacked batch per sweep step; mixed-signature ensembles split
-        # into one dispatch per group.  Computed once -- the ansatzes are
-        # frozen in the artifact.
-        self._member_groups: List[List[int]] = []
-        if self._fused_members:
-            groups: Dict[Tuple, List[int]] = {}
-            for index, member in enumerate(self._members):
-                groups.setdefault(plan_structure_key(member), []).append(index)
-            self._member_groups = list(groups.values())
         self._exact_engine: Optional[SwapTestEngine] = None
         if self._fusable:
             # Exact probabilities only -- per-request shot noise is applied
@@ -240,10 +212,7 @@ class OnlineScorer:
         self._worker: Optional[threading.Thread] = None
         self._closed = False
         self._stats = {"requests": 0, "samples": 0, "batches": 0,
-                       "coalesced_requests": 0, "stacked_dispatches": 0}
-        # Histogram {group size -> stacked dispatches of that size}; stays
-        # empty unless cross-member fusion is active.
-        self._members_per_dispatch: Dict[int, int] = {}
+                       "coalesced_requests": 0}
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_requests = self.metrics.counter(
             "scoring_requests_total", "scoring requests completed")
@@ -302,34 +271,13 @@ class OnlineScorer:
         """Exact ``(levels, samples)`` probabilities, one array per member."""
         engine = self._exact_engine
         assert engine is not None
-        if not self._fused_members:
-            with self._engine_lock:
-                return [
-                    engine.p1_levels_batch(
-                        self._member_amplitudes(member, normalized),
-                        member.ansatz, self.levels)
-                    for member in self._members
-                ]
-        member_p1: List[Optional[np.ndarray]] = [None] * len(self._members)
-        dispatched: List[int] = []
         with self._engine_lock:
-            for group in self._member_groups:
-                stack = np.stack([
-                    self._member_amplitudes(self._members[index], normalized)
-                    for index in group
-                ])
-                sweep = engine.p1_levels_member_batch(
-                    stack, [self._members[index].ansatz for index in group],
-                    self.levels)
-                for position, index in enumerate(group):
-                    member_p1[index] = sweep[position]
-                dispatched.append(len(group))
-        with self._lock:
-            self._stats["stacked_dispatches"] += len(dispatched)
-            for size in dispatched:
-                self._members_per_dispatch[size] = (
-                    self._members_per_dispatch.get(size, 0) + 1)
-        return member_p1
+            return [
+                engine.p1_levels_batch(
+                    self._member_amplitudes(member, normalized),
+                    member.ansatz, self.levels)
+                for member in self._members
+            ]
 
     def _finalize(self, member_p1: List[np.ndarray], mode: str,
                   shot_noise: bool,
@@ -656,7 +604,6 @@ class OnlineScorer:
         """
         with self._lock:
             serving = dict(self._stats)
-            members_per_dispatch = dict(self._members_per_dispatch)
         stats = self.compiler.stats
         return {
             "model": self.artifact.summary(),
@@ -665,12 +612,9 @@ class OnlineScorer:
                 "max_batch_samples": self.max_batch_samples,
                 "batch_window_s": self.batch_window_s,
                 "micro_batch_fusion": self._fusable,
-                "fused_members": self._fused_members,
-                "members_per_dispatch": members_per_dispatch,
             },
             "compiler_cache": {
                 "compiles": stats.compiles,
-                "group_compiles": stats.group_compiles,
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "entries": self.compiler.cache_size(),

@@ -79,8 +79,7 @@ class TestDerivedProperties:
 class TestDictRoundTrip:
     def test_to_dict_from_dict_round_trips_every_field(self):
         config = QuorumConfig(num_qubits=4, ensemble_groups=7, shots=None,
-                              compression_levels=(1, 3), seed=5,
-                              executor="threads", n_jobs=2,
+                              compression_levels=(1, 3), seed=5, n_jobs=2,
                               compile_circuits=False)
         assert QuorumConfig.from_dict(config.to_dict()) == config
 
@@ -96,6 +95,21 @@ class TestDictRoundTrip:
         payload["mystery_knob"] = 1
         with pytest.raises(ValueError, match="mystery_knob"):
             QuorumConfig.from_dict(payload)
+
+    def test_from_dict_drops_retired_scheduling_fields(self):
+        config = QuorumConfig(ensemble_groups=3, n_jobs=2)
+        payload = config.to_dict()
+        payload["executor"] = "threads"
+        payload["fused_members"] = True
+        assert QuorumConfig.from_dict(payload) == config
+
+    def test_retired_fields_do_not_excuse_unknown_ones(self):
+        payload = QuorumConfig().to_dict()
+        payload["executor"] = "auto"
+        payload["mystery_knob"] = 1
+        with pytest.raises(ValueError, match="mystery_knob") as error:
+            QuorumConfig.from_dict(payload)
+        assert "executor" not in str(error.value)
 
     def test_from_dict_validates_values(self):
         payload = QuorumConfig().to_dict()

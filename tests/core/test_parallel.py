@@ -1,5 +1,8 @@
 """Tests for the parallel ensemble dispatcher."""
 
+import logging
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,94 +42,118 @@ class TestRunMembers:
     def test_serial_execution(self):
         config = QuorumConfig(ensemble_groups=3, shots=None, seed=0, n_jobs=1)
         seeds = derive_member_seeds(0, 3)
-        results = run_ensemble_members(toy_data(), config, seeds)
-        assert len(results) == 3
-        assert all(result.deviations.shape == (30,) for result in results)
+        run = run_ensemble_members(toy_data(), config, seeds)
+        assert run.executor == "serial"
+        assert len(run.results) == 3
+        assert len(run.plans) == 3
+        assert all(result.deviations.shape == (30,) for result in run.results)
 
     def test_parallel_matches_serial(self):
         data = toy_data()
         seeds = derive_member_seeds(3, 4)
         serial_config = QuorumConfig(ensemble_groups=4, shots=None, seed=3, n_jobs=1)
         parallel_config = QuorumConfig(ensemble_groups=4, shots=None, seed=3, n_jobs=2)
-        serial = run_ensemble_members(data, serial_config, seeds)
-        parallel = run_ensemble_members(data, parallel_config, seeds)
-        for serial_result, parallel_result in zip(serial, parallel):
-            assert np.allclose(serial_result.deviations, parallel_result.deviations)
+        serial = run_ensemble_members(data, serial_config, seeds).results
+        pooled = run_ensemble_members(data, parallel_config, seeds)
+        if pooled.executor != "processes":
+            pytest.skip("process pool unavailable here; it fell back to serial")
+        for serial_result, parallel_result in zip(serial, pooled.results):
+            assert np.array_equal(serial_result.deviations,
+                                  parallel_result.deviations)
 
     def test_explicit_bucket_size_passed_through(self):
         config = QuorumConfig(ensemble_groups=2, shots=None, seed=1)
         results = run_ensemble_members(toy_data(), config, derive_member_seeds(1, 2),
-                                       bucket_size=15)
+                                       bucket_size=15).results
         assert all(result.bucket_size == 15 for result in results)
 
     def test_member_indices_are_sequential(self):
         config = QuorumConfig(ensemble_groups=3, shots=None, seed=1)
-        results = run_ensemble_members(toy_data(), config, derive_member_seeds(1, 3))
+        results = run_ensemble_members(toy_data(), config,
+                                       derive_member_seeds(1, 3)).results
         assert [result.member_index for result in results] == [0, 1, 2]
 
 
 class TestExecutorSelectionAndFallback:
-    def test_single_job_uses_serial(self, caplog):
-        import logging
-
-        config = QuorumConfig(ensemble_groups=2, shots=None, seed=1, n_jobs=1,
-                              executor="processes")
-        with caplog.at_level(logging.INFO, logger="repro.core.parallel"):
-            run_ensemble_members(toy_data(), config, derive_member_seeds(1, 2))
-        assert "'serial' executor" in caplog.text
-
-    def test_threads_executor_matches_serial(self):
-        data = toy_data()
-        seeds = derive_member_seeds(5, 3)
-        serial = run_ensemble_members(
-            data, QuorumConfig(ensemble_groups=3, shots=4096, seed=5, n_jobs=1),
-            seeds)
-        threaded = run_ensemble_members(
-            data, QuorumConfig(ensemble_groups=3, shots=4096, seed=5, n_jobs=2,
-                               executor="threads"),
-            seeds)
-        for serial_result, threaded_result in zip(serial, threaded):
-            assert np.array_equal(serial_result.deviations,
-                                  threaded_result.deviations)
-
-    def test_pool_creation_failure_falls_back_to_serial(self, caplog,
-                                                        monkeypatch):
-        import logging
-        import pickle
-
+    @pytest.mark.parametrize("n_jobs,members,expected", [
+        (1, 1, "serial"),
+        (1, 3, "serial"),
+        (2, 1, "serial"),
+        (2, 3, "processes"),
+        (3, 2, "processes"),
+    ])
+    def test_executor_chosen_by_n_jobs_and_member_count(
+            self, caplog, monkeypatch, n_jobs, members, expected):
         from repro.core import parallel
 
-        class ExplodingExecutor(parallel.ProcessExecutor):
-            def run(self, normalized_data, plans, config):
-                raise pickle.PicklingError("cannot pickle the plans")
+        pool_calls = []
 
-        monkeypatch.setitem(parallel._EXECUTORS, "processes", ExplodingExecutor)
-        config = QuorumConfig(ensemble_groups=3, shots=None, seed=2, n_jobs=2,
-                              executor="processes")
-        seeds = derive_member_seeds(2, 3)
+        def recording_pool(normalized_data, plans, config):
+            pool_calls.append(len(plans))
+            return parallel._run_serial(normalized_data, plans, config)
+
+        monkeypatch.setattr(parallel, "_run_process_pool", recording_pool)
+        config = QuorumConfig(ensemble_groups=members, shots=None, seed=5,
+                              n_jobs=n_jobs)
         with caplog.at_level(logging.INFO, logger="repro.core.parallel"):
-            results = run_ensemble_members(toy_data(), config, seeds)
-        assert len(results) == 3
+            run = run_ensemble_members(toy_data(), config,
+                                       derive_member_seeds(5, members))
+        assert run.executor == expected
+        assert f"{expected!r} executor" in caplog.text
+        assert pool_calls == ([members] if expected == "processes" else [])
+        assert len(run.results) == members
+
+    @pytest.mark.parametrize("error", [
+        OSError("no /dev/shm"),
+        ValueError("bad shared-memory size"),
+        pickle.PicklingError("cannot pickle the plans"),
+        RuntimeError("context has already been set"),
+    ], ids=lambda error: type(error).__name__)
+    def test_every_pool_error_falls_back_bitwise(self, caplog, monkeypatch,
+                                                 error):
+        from repro.core import parallel
+
+        def failing_pool(normalized_data, plans, config):
+            raise error
+
+        monkeypatch.setattr(parallel, "_run_process_pool", failing_pool)
+        config = QuorumConfig(ensemble_groups=3, shots=4096, seed=8, n_jobs=2)
+        seeds = derive_member_seeds(8, 3)
+        with caplog.at_level(logging.INFO, logger="repro.core.parallel"):
+            run = run_ensemble_members(toy_data(), config, seeds)
+        assert run.executor == "serial"
+        assert [result.member_index for result in run.results] == [0, 1, 2]
         assert "falling back to serial" in caplog.text
         assert "'serial' executor" in caplog.text
         reference = run_ensemble_members(
-            toy_data(), config.with_overrides(n_jobs=1), seeds)
-        for result, expected in zip(results, reference):
+            toy_data(), config.with_overrides(n_jobs=1), seeds).results
+        for result, expected in zip(run.results, reference):
             assert np.array_equal(result.deviations, expected.deviations)
 
-    def test_runtime_error_from_pool_falls_back(self, monkeypatch):
+    def test_unexpected_pool_error_is_not_masked(self, monkeypatch):
         from repro.core import parallel
 
-        class BrokenPool(parallel.ThreadExecutor):
-            def run(self, normalized_data, plans, config):
-                raise RuntimeError("context has already been set")
+        def buggy_pool(normalized_data, plans, config):
+            raise KeyError("bug in the pool path")
 
-        monkeypatch.setitem(parallel._EXECUTORS, "threads", BrokenPool)
-        config = QuorumConfig(ensemble_groups=2, shots=None, seed=3, n_jobs=2,
-                              executor="threads")
-        results = run_ensemble_members(toy_data(), config,
-                                       derive_member_seeds(3, 2))
-        assert [result.member_index for result in results] == [0, 1]
+        monkeypatch.setattr(parallel, "_run_process_pool", buggy_pool)
+        config = QuorumConfig(ensemble_groups=2, shots=None, seed=9, n_jobs=2)
+        with pytest.raises(KeyError, match="bug in the pool path"):
+            run_ensemble_members(toy_data(), config, derive_member_seeds(9, 2))
+
+    def test_pool_failure_recorded_as_serial_in_diagnostics(self, monkeypatch):
+        from repro.core import parallel
+        from repro.core.detector import QuorumDetector
+
+        def exploding_pool(normalized_data, plans, config):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(parallel, "_run_process_pool", exploding_pool)
+        detector = QuorumDetector(ensemble_groups=2, shots=None, seed=3,
+                                  n_jobs=2)
+        detector.fit(toy_data())
+        assert detector.diagnostics()["executor"] == "serial"
+        assert detector.diagnostics()["n_jobs"] == 2
 
     def test_serial_strategy_errors_propagate(self, monkeypatch):
         from repro.core import parallel
@@ -140,24 +167,22 @@ class TestExecutorSelectionAndFallback:
             run_ensemble_members(toy_data(), config, derive_member_seeds(4, 2))
 
     def test_fallback_after_partial_run_stays_bit_identical(self, monkeypatch):
-        """A strategy that executes some members before failing must not leak
+        """A pool that executes some members before failing must not leak
         their consumed RNG state into the serial fallback."""
         from repro.core import parallel
 
-        class PartiallyFailingExecutor(parallel.ThreadExecutor):
-            def run(self, normalized_data, plans, config):
-                # Consume the first plan's RNG exactly like a real run would...
-                parallel.execute_member(normalized_data, plans[0], config)
-                # ...then die as if the pool broke mid-flight.
-                raise RuntimeError("pool collapsed mid-run")
+        def partially_failing_pool(normalized_data, plans, config):
+            # Consume the first plan's RNG exactly like a real run would...
+            parallel.execute_member(normalized_data, plans[0], config)
+            # ...then die as if the pool broke mid-flight.
+            raise RuntimeError("pool collapsed mid-run")
 
-        monkeypatch.setitem(parallel._EXECUTORS, "threads",
-                            PartiallyFailingExecutor)
-        config = QuorumConfig(ensemble_groups=3, shots=4096, seed=6, n_jobs=2,
-                              executor="threads")
+        monkeypatch.setattr(parallel, "_run_process_pool",
+                            partially_failing_pool)
+        config = QuorumConfig(ensemble_groups=3, shots=4096, seed=6, n_jobs=2)
         seeds = derive_member_seeds(6, 3)
-        results = run_ensemble_members(toy_data(), config, seeds)
+        results = run_ensemble_members(toy_data(), config, seeds).results
         reference = run_ensemble_members(
-            toy_data(), config.with_overrides(n_jobs=1), seeds)
+            toy_data(), config.with_overrides(n_jobs=1), seeds).results
         for result, expected in zip(results, reference):
             assert np.array_equal(result.deviations, expected.deviations)

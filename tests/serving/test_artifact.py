@@ -19,12 +19,14 @@ from repro.serving.artifact import (
 )
 
 
+def _training_data():
+    return np.random.default_rng(42).normal(size=(36, 7))
+
+
 @pytest.fixture(scope="module")
 def fitted_detector():
-    rng = np.random.default_rng(42)
-    data = rng.normal(size=(36, 7))
     detector = QuorumDetector(ensemble_groups=3, seed=11, shots=512)
-    detector.fit(data)
+    detector.fit(_training_data())
     return detector
 
 
@@ -252,6 +254,23 @@ class TestCorruptFiles:
         _rewrite(model_path, mutate)
         with pytest.raises(ArtifactCorruptError, match="compression sweep"):
             load_model(model_path)
+
+
+class TestRetiredConfigFields:
+    """Artifacts written while the config still carried its two retired
+    scheduling fields keep loading and replaying."""
+
+    def test_retired_fields_load_and_replay_bitwise(self, fitted_detector,
+                                                    model_path):
+        from repro.serving.scorer import OnlineScorer
+
+        _rewrite(model_path, lambda p: p["config"].update(
+            executor="fused", fused_members=True))
+        artifact = load_model(model_path)
+        assert artifact.config == fitted_detector.config
+        with OnlineScorer(artifact) as scorer:
+            replay = scorer.score(_training_data(), mode="replay").scores
+        assert np.array_equal(replay, fitted_detector.anomaly_scores())
 
 
 class TestVersionMismatch:

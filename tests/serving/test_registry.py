@@ -138,5 +138,4 @@ class TestSharedCompilerCache:
             assert [m["model_id"] for m in diag["models"]] == ["a"]
             assert diag["models"][0]["is_default"] is True
             assert set(diag["compiler_cache"]) == {
-                "compiles", "group_compiles", "hits", "misses", "entries",
-                "bytes"}
+                "compiles", "hits", "misses", "entries", "bytes"}

@@ -234,65 +234,6 @@ class TestConcurrencyAndCaching:
             scorer.score(data[:1])
             diagnostics = scorer.diagnostics()
         assert diagnostics["model"]["schema_version"] == 1
-        assert {"compiles", "group_compiles", "hits", "misses",
+        assert {"compiles", "hits", "misses",
                 "entries", "bytes"} <= set(diagnostics["compiler_cache"])
         assert diagnostics["serving"]["samples"] == 1
-
-
-class TestFusedMemberScoring:
-    """Cross-member fused serving: bitwise parity + diagnostics counters."""
-
-    def test_fused_scores_bitwise_and_counters(self, tmp_path):
-        data = _toy_data()
-        detector, path = _fit_and_save(tmp_path, data, ensemble_groups=4,
-                                       seed=19, shots=1024)
-        unseen = _toy_data(samples=5, seed=77)
-        with OnlineScorer(load_model(path)) as serial:
-            serial_replay = serial.score(data, mode="replay").scores
-            serial_unseen = serial.score(unseen).scores
-            serial_diag = serial.diagnostics()
-        with OnlineScorer(load_model(path), fused_members=True) as fused:
-            fused_replay = fused.score(data, mode="replay").scores
-            fused_unseen = fused.score(unseen).scores
-            diagnostics = fused.diagnostics()
-        assert np.array_equal(fused_replay, detector.anomaly_scores())
-        assert np.array_equal(fused_replay, serial_replay)
-        assert np.array_equal(fused_unseen, serial_unseen)
-        serving = diagnostics["serving"]
-        assert serving["fused_members"] is True
-        # Two requests, each covered by >= 1 stacked dispatch; every member
-        # is accounted for in the group-size histogram on every request.
-        assert serving["stacked_dispatches"] >= 2
-        histogram = serving["members_per_dispatch"]
-        assert sum(size * count for size, count in histogram.items()) == 4 * 2
-        # The serial scorer reports the fused counters as inert.
-        assert serial_diag["serving"]["fused_members"] is False
-        assert serial_diag["serving"]["stacked_dispatches"] == 0
-        assert serial_diag["serving"]["members_per_dispatch"] == {}
-
-    def test_fused_noisy_density_replay_bitwise(self, tmp_path):
-        data = _toy_data(samples=12, features=3)
-        detector, path = _fit_and_save(
-            tmp_path, data, ensemble_groups=2, seed=23, shots=256,
-            backend="density_matrix", noisy=True, num_qubits=2)
-        with OnlineScorer(load_model(path), fused_members=True) as scorer:
-            replay = scorer.score(data, mode="replay")
-            diagnostics = scorer.diagnostics()
-        assert np.array_equal(replay.scores, detector.anomaly_scores())
-        assert diagnostics["serving"]["stacked_dispatches"] >= 1
-        assert diagnostics["compiler_cache"]["group_compiles"] >= 1
-
-    def test_fused_micro_batching_stays_bitwise(self, tmp_path):
-        data = _toy_data(samples=24)
-        _, path = _fit_and_save(tmp_path, data, ensemble_groups=3, seed=29,
-                                shots=512)
-        requests = [_toy_data(samples=1 + (i % 3), seed=200 + i)
-                    for i in range(8)]
-        with OnlineScorer(load_model(path)) as serial:
-            expected = [serial.score(request).scores for request in requests]
-        with OnlineScorer(load_model(path), fused_members=True,
-                          batch_window_s=0.05) as fused:
-            futures = [fused.submit(request) for request in requests]
-            actual = [future.result(timeout=120).scores for future in futures]
-        for serial_scores, fused_scores in zip(expected, actual):
-            assert np.array_equal(serial_scores, fused_scores)

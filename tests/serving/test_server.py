@@ -191,9 +191,9 @@ class TestV1Models:
         _, detail, _ = _get(f"{base}/v1/models/{served_model['default_id']}")
         assert detail["sha256"] == default["sha256"]
         assert "compiler_cache" in detail and "serving" in detail
-        assert "group_compiles" in detail["compiler_cache"]
-        assert {"fused_members", "stacked_dispatches",
-                "members_per_dispatch"} <= set(detail["serving"])
+        assert "compiles" in detail["compiler_cache"]
+        assert {"requests", "batches", "coalesced_requests"} <= set(
+            detail["serving"])
 
     def test_get_by_full_sha(self, served_model):
         base = served_model["base"]

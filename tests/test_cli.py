@@ -1,5 +1,6 @@
 """Tests for the quorum-repro command-line interface."""
 
+import logging
 import threading
 
 import numpy as np
@@ -318,10 +319,21 @@ class TestJobsCommand:
         assert "cannot reach server" in capsys.readouterr().err
 
 
+#: Minimal valid argv for each subcommand that fits an ensemble and therefore
+#: takes the execution flags (``--jobs``, ``--no-compile``).
+EXECUTION_COMMANDS = {
+    "detect": ["detect", "--dataset", "letter"],
+    "compare": ["compare", "--dataset", "letter"],
+    "experiment": ["experiment", "table1"],
+    "report": ["report"],
+    "fit": ["fit", "--dataset", "letter", "--save-model", "model.json"],
+}
+
+
 class TestFlagPlumbing:
-    """`--simulation-backend` / `--executor` / `--jobs` must reach QuorumConfig
-    unchanged, and a fixed seed must score identically whichever combination
-    executes the run."""
+    """`--simulation-backend` / `--jobs` must reach QuorumConfig unchanged, and
+    a fixed seed must score identically whichever combination executes the
+    run."""
 
     def capture_config(self, monkeypatch):
         captured = {}
@@ -339,10 +351,9 @@ class TestFlagPlumbing:
         assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
                      "--shots", "0", "--seed", "2",
                      "--simulation-backend", "numpy-float32",
-                     "--executor", "threads", "--jobs", "3"]) == 0
+                     "--jobs", "3"]) == 0
         config = captured["config"]
         assert config.simulation_backend == "numpy-float32"
-        assert config.executor == "threads"
         assert config.n_jobs == 3
         assert config.compile_circuits is True
 
@@ -361,33 +372,28 @@ class TestFlagPlumbing:
             outputs[label] = capsys.readouterr().out
         assert outputs["compiled"] == outputs["interpreted"]
 
-    def test_default_jobs_depend_on_executor_choice(self, monkeypatch, capsys):
-        import os
-
+    def test_default_jobs_is_one(self, monkeypatch, capsys):
         captured = self.capture_config(monkeypatch)
         assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
                      "--shots", "0", "--seed", "2"]) == 0
         assert captured["config"].n_jobs == 1
-        assert captured["config"].executor == "auto"
-        assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
-                     "--shots", "0", "--seed", "2",
-                     "--executor", "processes"]) == 0
-        assert captured["config"].n_jobs == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("command", ["detect", "compare"])
-    def test_executor_combinations_score_identically(self, command, capsys):
+    def test_jobs_settings_score_identically(self, command, capsys, caplog):
         outputs = {}
-        for flags in (["--executor", "serial"],
-                      ["--executor", "threads", "--jobs", "2"],
-                      ["--executor", "processes", "--jobs", "2"]):
+        for flags in (["--jobs", "1"], ["--jobs", "2"]):
             argv = [command, "--dataset", "power_plant", "--ensembles", "3",
                     "--seed", "7"] + flags
             if command == "detect":
                 argv += ["--shots", "0", "--top", "5"]
-            assert main(argv) == 0
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.core.parallel"):
+                assert main(argv) == 0
             outputs[tuple(flags)] = capsys.readouterr().out
+        if "'processes' executor" not in caplog.text:
+            pytest.skip("process pool unavailable here; --jobs 2 ran serially")
         results = set(outputs.values())
-        assert len(results) == 1, "scores must not depend on the executor"
+        assert len(results) == 1, "scores must not depend on --jobs"
 
     def test_simulation_backend_flag_runs_end_to_end(self, capsys):
         assert main(["detect", "--dataset", "power_plant", "--ensembles", "2",
@@ -400,10 +406,22 @@ class TestFlagPlumbing:
             build_parser().parse_args(["detect", "--dataset", "letter",
                                        "--simulation-backend", "cuda"])
 
-    def test_unknown_executor_rejected_by_parser(self):
+    @pytest.mark.parametrize("command", sorted(EXECUTION_COMMANDS))
+    def test_jobs_flag_parsed_by_every_fitting_subcommand(self, command):
+        argv = EXECUTION_COMMANDS[command]
+        assert build_parser().parse_args(argv).jobs == 1
+        assert build_parser().parse_args(argv + ["--jobs", "3"]).jobs == 3
+
+    @pytest.mark.parametrize("flags", [["--executor", "serial"],
+                                       ["--fused-members"],
+                                       ["--no-fused-members"]])
+    @pytest.mark.parametrize("command", sorted(EXECUTION_COMMANDS))
+    def test_retired_scheduling_flags_rejected_by_every_subcommand(
+            self, command, flags):
+        argv = EXECUTION_COMMANDS[command]
+        build_parser().parse_args(argv)
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["detect", "--dataset", "letter",
-                                       "--executor", "distributed"])
+            build_parser().parse_args(argv + flags)
 
 
 class TestLoadtestCommand:

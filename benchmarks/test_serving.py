@@ -2,12 +2,13 @@
 
 The serving subsystem's contract is train-once / score-many: a fitted ensemble
 is persisted once and then serves scoring requests whose marginal cost is the
-sample-dependent work only (the compiled encoder unitaries and reference
-statistics are frozen in the artifact and reused across requests).  These
+sample-dependent work only (the member encoder unitaries are built once per
+loaded model and the reference statistics are frozen in the artifact; both
+are reused across requests).  These
 benchmarks measure that contract:
 
 * cold path -- ``load_model`` + scorer construction + the first request
-  (includes the one-time compiles);
+  (includes building each member's encoder once);
 * warm path -- amortized per-request latency at request sizes 1 / 8 / 64;
 * micro-batching -- many concurrent single-sample requests coalesced into
   fused batches vs the same requests scored one at a time;
@@ -74,7 +75,7 @@ def test_serving_cold_load_first_score(benchmark, model_path):
 def _warm_latencies(model_path):
     """Amortized per-request latency at request sizes 1 / 8 / 64."""
     scorer = OnlineScorer(load_model(model_path))
-    scorer.score(_probes(1))  # warm the compiled-program cache
+    scorer.score(_probes(1))  # warm the per-member encoder caches
     timings = {}
     for size, repeats in ((1, 40), (8, 20), (64, 10)):
         probes = _probes(size, seed=size)
@@ -111,7 +112,7 @@ def _microbatch_vs_sequential(model_path):
     scorer = OnlineScorer(load_model(model_path), max_batch_samples=256,
                           batch_window_s=0.004)
     requests = [_probes(1, seed=100 + i) for i in range(64)]
-    scorer.score(requests[0])  # warm the compiled-program cache
+    scorer.score(requests[0])  # warm the per-member encoder caches
 
     sequential_seconds = batched_seconds = float("inf")
     for _ in range(2):  # best-of-two damps scheduler jitter on shared CI hosts

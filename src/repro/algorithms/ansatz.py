@@ -9,6 +9,7 @@ encoder-decoder pair would be the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,9 +17,85 @@ import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
 
-__all__ = ["RandomAutoencoderAnsatz"]
+__all__ = ["RandomAutoencoderAnsatz", "encoder_unitaries"]
 
 _ENTANGLEMENTS = ("linear", "ring", "full")
+
+
+def _entangling_pairs(num_qubits: int,
+                      entanglement: str) -> List[Tuple[int, int]]:
+    """(control, target) CX pairs of one entangling block, in gate order."""
+    if entanglement == "linear":
+        return [(q, q + 1) for q in range(num_qubits - 1)]
+    if entanglement == "ring":
+        pairs = [(q, q + 1) for q in range(num_qubits - 1)]
+        if num_qubits > 2:
+            pairs.append((num_qubits - 1, 0))
+        return pairs
+    return [(a, b) for a in range(num_qubits)
+            for b in range(a + 1, num_qubits)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cx_block_rows(num_qubits: int, entanglement: str) -> np.ndarray:
+    """Row gather ``rows`` with ``(C @ M) == M[rows]`` for the CX block ``C``.
+
+    The block maps basis state ``|x>`` to ``|f(x)>`` (little-endian bits),
+    so ``C`` is a permutation matrix and ``rows`` is ``f``'s inverse.
+    """
+    images = np.arange(2 ** num_qubits)
+    for control, target in _entangling_pairs(num_qubits, entanglement):
+        images = images ^ (((images >> control) & 1) << target)
+    rows = np.argsort(images)
+    rows.setflags(write=False)
+    return rows
+
+
+def encoder_unitaries(ansatzes: Sequence["RandomAutoencoderAnsatz"]
+                      ) -> np.ndarray:
+    """Dense encoders of several members, as one ``(members, 2^n, 2^n)`` stack.
+
+    Every member must share one layout (qubits, layers, entanglement); only
+    the angles differ.  A layer is a rotation on every qubit, ``RZ . RX``,
+    followed by a fixed CX block.  So each layer is one batched Kronecker
+    product of the ``(members, qubits, 2, 2)`` rotations, then a constant row
+    permutation, and consecutive layers compose by one batched matmul.  A
+    member's encoder does not depend on which other members share its stack.
+    """
+    if not ansatzes:
+        raise ValueError("at least one ansatz is required")
+    first = ansatzes[0]
+    layout = (first.num_qubits, first.num_layers, first.entanglement)
+    if any((ansatz.num_qubits, ansatz.num_layers, ansatz.entanglement)
+           != layout for ansatz in ansatzes):
+        raise ValueError("stacked ansatzes must share one circuit layout")
+    num_qubits, num_layers, entanglement = layout
+    members = len(ansatzes)
+    # Angles are laid out layer by layer as [RX q0..q(n-1), RZ q0..q(n-1)].
+    half = np.stack([ansatz.angles_ for ansatz in ansatzes]).reshape(
+        members, num_layers, 2, num_qubits) * 0.5
+    cos, sin = np.cos(half), np.sin(half)
+    # RX(theta) = [[c, -is], [-is, c]] and RZ(phi) = diag(z, conj(z)) with
+    # z = e^{-i phi/2}, so RZ . RX scales RX's rows by z and conj(z).
+    rx_isin = -1j * sin[:, :, 0]
+    rx = np.stack([cos[:, :, 0], rx_isin, rx_isin, cos[:, :, 0]],
+                  axis=-1).reshape(members, num_layers, num_qubits, 2, 2)
+    rz = cos[:, :, 1] - 1j * sin[:, :, 1]
+    rotations = np.stack([rz, rz.conj()], axis=-1)[..., None] * rx
+    rows = _cx_block_rows(num_qubits, entanglement)
+    unitary = None
+    for layer in range(num_layers):
+        # Little-endian: qubit 0 is the last Kronecker factor.
+        block = rotations[:, layer, num_qubits - 1]
+        for qubit in range(num_qubits - 2, -1, -1):
+            dim = 2 * block.shape[1]
+            block = (block[:, :, None, :, None]
+                     * rotations[:, layer, qubit, None, :, None, :]
+                     ).reshape(members, dim, dim)
+        if unitary is not None:
+            block = block @ unitary
+        unitary = block[:, rows, :]
+    return unitary
 
 
 @dataclass
@@ -77,15 +154,7 @@ class RandomAutoencoderAnsatz:
         return 2 * self.num_qubits * self.num_layers
 
     def _entangling_pairs(self) -> List[Tuple[int, int]]:
-        if self.entanglement == "linear":
-            return [(q, q + 1) for q in range(self.num_qubits - 1)]
-        if self.entanglement == "ring":
-            pairs = [(q, q + 1) for q in range(self.num_qubits - 1)]
-            if self.num_qubits > 2:
-                pairs.append((self.num_qubits - 1, 0))
-            return pairs
-        return [(a, b) for a in range(self.num_qubits)
-                for b in range(a + 1, self.num_qubits)]
+        return _entangling_pairs(self.num_qubits, self.entanglement)
 
     # ---------------------------------------------------------------- circuits
     def encoder_circuit(self, qubits: Optional[Sequence[int]] = None,
@@ -127,28 +196,14 @@ class RandomAutoencoderAnsatz:
     def encoder_unitary(self) -> np.ndarray:
         """Dense unitary of the encoder on its own ``num_qubits`` register.
 
-        The matrix is built once per ansatz (i.e. once per ensemble member) and
-        cached: the angles are immutable after construction, so every engine and
-        every compression level can reuse the same ``E`` / ``E^dagger``.  The
-        returned array is marked read-only to protect the cache.
-
-        Construction always uses the numpy reference backend on purpose: the
-        result is a tiny ``2^n x 2^n`` ndarray of plain data that every
-        simulation backend consumes as input, so there is nothing to gain from
-        building it on an accelerator (and the cache stays backend-agnostic).
+        This is :func:`encoder_unitaries` for a stack of one member.  The
+        matrix is built once per ansatz (i.e. once per ensemble member) and
+        cached: the angles are immutable after construction, so every engine
+        and every compression level can reuse the same ``E`` / ``E^dagger``.
+        The returned array is marked read-only to protect the cache.
         """
         if self._encoder_unitary is None:
-            from repro.quantum.backend import get_simulation_backend
-
-            circuit = self.encoder_circuit(list(range(self.num_qubits)))
-            instructions = [
-                (instruction.matrix_or_standard(), instruction.qubits)
-                for instruction in circuit.instructions
-                if instruction.name != "barrier"
-            ]
-            unitary = get_simulation_backend("numpy").unitary_from_instructions(
-                instructions, self.num_qubits
-            )
+            unitary = encoder_unitaries([self])[0]
             unitary.setflags(write=False)
             self._encoder_unitary = unitary
         return self._encoder_unitary

@@ -14,42 +14,43 @@ The member lifecycle is split in two:
   picklable :class:`MemberPlan`.  Planning only needs the dataset's *shape*, so
   every plan is built up front in the parent process and a process pool ships
   plans (not datasets) to its workers.
-* :func:`execute_member` performs the *heavy, data-dependent* work: amplitude
-  encoding, one fused ``(levels x samples)`` batched SWAP-test sweep through the
-  engine's ``p1_levels_batch``, and bucket scoring.  For noisy members this
-  sweep is checkpointed: the engine walks the shared circuit prefix (encoding +
-  encoder) exactly once and replays only the per-level suffix from the
-  post-prefix density batch.  With ``config.compile_circuits`` (the default)
-  the member's fixed circuit structure is additionally lowered ahead of time
-  through the shared :mod:`repro.quantum.compiler` cache -- the encoder
-  becomes one fused unitary, the noisy suffix one cached Heisenberg-picture
-  observable per level -- so the sweep executes as a handful of batched
-  matmuls.  :func:`repro.core.parallel.run_ensemble_members` calls this in
-  the calling process or, with ``n_jobs > 1``, in pool workers against a
-  shared-memory dataset view.
+* :func:`execute_members` performs the *heavy, data-dependent* work:
+  amplitude encoding, the ``(levels x samples)`` SWAP-test sweep, shot noise,
+  and bucket scoring.  It runs members in chunks of at most
+  :data:`CHUNK_ROWS` (member, sample) rows, each chunk as one array pass per
+  layer: the analytic engine evaluates the
+  chunk's ``(members, samples, 2^n)`` stack with encoders from
+  :func:`~repro.algorithms.ansatz.encoder_unitaries`, and
+  :func:`~repro.core.scoring.stacked_bucket_scores` scores every
+  (member, level) pair of the chunk at once.  Engines that consume
+  randomness or noise inside the circuit (statevector trajectories, noisy
+  density matrices) keep one ``p1_levels_batch`` call per member and share
+  the stacked scoring.  :func:`repro.core.parallel.run_ensemble_members`
+  calls it in the calling process or, with ``n_jobs > 1``, in pool workers
+  against a shared-memory dataset view.
 
 The plan carries the member RNG *after* its planning draws, so execution
 consumes shot-noise randomness in exactly the order the historical single-pass
 implementation did -- fixed-seed results are bit-identical whether the plan
-runs in the calling process or in a pool worker.  :func:`run_ensemble_member` remains as the one-call
-convenience wrapper (plan + execute).
+runs in the calling process or in a pool worker, and whatever chunk it runs
+in.  :func:`execute_member` is the one-member case and
+:func:`run_ensemble_member` the one-call convenience wrapper (plan +
+execute).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.ansatz import RandomAutoencoderAnsatz
+from repro.algorithms.ansatz import RandomAutoencoderAnsatz, encoder_unitaries
 from repro.core.bucketing import BucketAssignment, assign_buckets, bucket_size_for_probability
 from repro.core.config import QuorumConfig
-from repro.core.execution import SwapTestEngine, make_engine
+from repro.core.execution import apply_shot_noise, make_engine
 from repro.core.feature_selection import select_feature_subset
-from repro.core.scoring import (BucketStatistics, bucket_deviations,
-                                bucket_statistics)
+from repro.core.scoring import BucketStatistics, stacked_bucket_scores
 
 __all__ = [
     "EnsembleMemberResult",
@@ -57,6 +58,8 @@ __all__ = [
     "batch_amplitudes",
     "plan_member",
     "execute_member",
+    "execute_members",
+    "members_per_chunk",
     "run_ensemble_member",
 ]
 
@@ -200,69 +203,137 @@ def plan_member(num_samples: int, num_features: int, config: QuorumConfig,
         buckets=buckets,
         ansatz=ansatz,
         rng=rng,
-        rng_state=copy.deepcopy(rng.bit_generator.state),
+        # ``bit_generator.state`` builds a fresh dict on every read.
+        rng_state=rng.bit_generator.state,
     )
 
 
-def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
-                   config: QuorumConfig,
-                   engine: Optional[SwapTestEngine] = None
-                   ) -> EnsembleMemberResult:
-    """Run one planned member over the (shared) normalized dataset.
+#: (member, sample) rows per stacked pass of :func:`execute_members`: 16
+#: members at 1,000 samples.  A chunk's largest arrays hold this many rows of
+#: 2^n complex128 amplitudes (2 MB at n = 3), whatever the dataset size, so
+#: a fit's peak memory does not grow with the ensemble.
+CHUNK_ROWS = 1 << 14
 
-    All compression levels of the member run as ONE fused
-    ``(levels x samples)`` batch through the engine's ``p1_levels_batch``.
-    This is the only way a member executes: the serial loop and the process
-    pool in :mod:`repro.core.parallel` both call it.
+
+def members_per_chunk(num_samples: int) -> int:
+    """Members of one stacked pass over ``num_samples`` samples."""
+    return max(1, CHUNK_ROWS // max(1, num_samples))
+
+
+def execute_members(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
+                    config: QuorumConfig) -> List[EnsembleMemberResult]:
+    """Run planned members over the (shared) normalized dataset, in order.
+
+    This is the only way members execute: the serial loop and every
+    process-pool worker in :mod:`repro.core.parallel` call it.  Members run in
+    chunks of :func:`members_per_chunk`, each chunk as one array pass per
+    layer; a member's result does not depend on the chunk it ran in.
     """
     normalized_data = np.asarray(normalized_data, dtype=float)
     if normalized_data.ndim != 2:
         raise ValueError("normalized_data must be 2-D")
-    amplitudes = batch_amplitudes(normalized_data[:, plan.selected_features],
-                                  config.num_qubits)
-    if engine is None:
-        engine = make_engine(
-            config.backend, config.shots, rng=plan.rng, noisy=config.noisy,
-            gate_level_encoding=config.gate_level_encoding,
-            num_qubits=config.num_qubits,
-            simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
-        )
+    size = members_per_chunk(normalized_data.shape[0])
+    results: List[EnsembleMemberResult] = []
+    for start in range(0, len(plans), size):
+        results.extend(_execute_chunk(normalized_data,
+                                      plans[start:start + size], config))
+    return results
+
+
+def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
+                   config: QuorumConfig) -> EnsembleMemberResult:
+    """Run one planned member: the one-member case of :func:`execute_members`."""
+    return execute_members(normalized_data, [plan], config)[0]
+
+
+def _execute_chunk(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
+                   config: QuorumConfig) -> List[EnsembleMemberResult]:
+    """Amplitudes, SWAP-test sweep, shot noise and scoring of a member chunk.
+
+    The analytic engine evaluates the whole ``(members, samples, 2^n)`` stack
+    at once.  Other engines keep one engine call per member, because their
+    randomness or noise is consumed inside the engine.  Shot noise is drawn
+    per member from the member's own RNG, in member order, exactly as a
+    member run on its own draws it.
+    """
     levels = config.effective_compression_levels
-    p1_values = engine.p1_levels_batch(amplitudes, plan.ansatz, levels)
-    return _score_member(plan, levels, p1_values, normalized_data.shape[0])
+    features = np.stack([plan.selected_features for plan in plans])
+    num_samples = normalized_data.shape[0]
+    # (samples, members, features) -> one row per (member, sample) pair.
+    selected = np.swapaxes(normalized_data[:, features], 0, 1).reshape(
+        len(plans) * num_samples, features.shape[1])
+    amplitudes = batch_amplitudes(selected, config.num_qubits).reshape(
+        len(plans), num_samples, -1)
+    if config.backend == "analytic":
+        engine = make_engine(config.backend, None,
+                             simulation_backend=config.simulation_backend)
+        exact = engine.exact_levels_stack(
+            amplitudes, encoder_unitaries([plan.ansatz for plan in plans]),
+            levels)
+        p1_values = np.stack([
+            apply_shot_noise(member_exact, config.shots, plan.rng)
+            for member_exact, plan in zip(exact, plans)
+        ])
+    else:
+        p1_values = np.stack([
+            make_engine(
+                config.backend, config.shots, rng=plan.rng,
+                noisy=config.noisy,
+                gate_level_encoding=config.gate_level_encoding,
+                num_qubits=config.num_qubits,
+                simulation_backend=config.simulation_backend,
+                compile_circuits=config.compile_circuits,
+            ).p1_levels_batch(member_amplitudes, plan.ansatz, levels)
+            for member_amplitudes, plan in zip(amplitudes, plans)
+        ])
+    return _score_chunk(plans, levels, p1_values)
 
 
-def _score_member(plan: MemberPlan, levels: Sequence[int],
-                  p1_values: np.ndarray,
-                  num_samples: int) -> EnsembleMemberResult:
-    """Convert one member's ``(levels, samples)`` SWAP-test outputs to a result."""
-    deviations = np.zeros(num_samples)
-    statistics: Dict[int, Tuple[float, float]] = {}
-    references: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for position, level in enumerate(levels):
-        level_p1 = p1_values[position]
-        statistics[level] = (float(np.mean(level_p1)), float(np.std(level_p1)))
-        level_reference = bucket_statistics(level_p1, plan.buckets)
-        references[level] = level_reference
-        deviations += bucket_deviations(level_p1, plan.buckets,
-                                        statistics=level_reference)
+def _score_chunk(plans: Sequence[MemberPlan], levels: Sequence[int],
+                 p1_values: np.ndarray) -> List[EnsembleMemberResult]:
+    """Turn a chunk's ``(members, levels, samples)`` P(1) values into results.
 
-    return EnsembleMemberResult(
-        member_index=plan.member_index,
-        deviations=deviations,
-        selected_features=plan.selected_features,
-        bucket_size=plan.bucket_size,
-        num_buckets=plan.buckets.num_buckets,
-        num_runs=len(levels),
-        p1_statistics=statistics,
-        bucket_statistics=references,
+    Every (member, level) pair is scored in one :func:`stacked_bucket_scores`
+    pass.  A member's deviations are then summed level by level from zero --
+    the order :func:`repro.serving.scorer.OnlineScorer` replays them in -- so
+    fit and replay agree bitwise.
+    """
+    members, num_levels, num_samples = p1_values.shape
+    labels = np.stack([plan.buckets.labels for plan in plans])
+    references, run_deviations = stacked_bucket_scores(
+        p1_values.reshape(members * num_levels, num_samples),
+        np.repeat(labels, num_levels, axis=0),
+        np.repeat([plan.buckets.num_buckets for plan in plans], num_levels),
     )
+    run_deviations = run_deviations.reshape(members, num_levels, num_samples)
+    deviations = np.zeros((members, num_samples))
+    for position in range(num_levels):
+        deviations += run_deviations[:, position]
+    level_means = p1_values.mean(axis=2)
+    level_stds = p1_values.std(axis=2)
+    results = []
+    for member, plan in enumerate(plans):
+        member_references = references[member * num_levels:
+                                       (member + 1) * num_levels]
+        results.append(EnsembleMemberResult(
+            member_index=plan.member_index,
+            deviations=deviations[member],
+            selected_features=plan.selected_features,
+            bucket_size=plan.bucket_size,
+            num_buckets=plan.buckets.num_buckets,
+            num_runs=num_levels,
+            p1_statistics={
+                level: (float(level_means[member, position]),
+                        float(level_stds[member, position]))
+                for position, level in enumerate(levels)
+            },
+            bucket_statistics=dict(zip(levels, member_references)),
+        ))
+    return results
 
 
 def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
                         member_index: int, member_seed: int,
-                        engine: Optional[SwapTestEngine] = None,
                         bucket_size: Optional[int] = None) -> EnsembleMemberResult:
     """Plan and execute one ensemble member in a single call.
 
@@ -278,8 +349,6 @@ def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
     member_seed:
         Seed controlling this member's feature subset, buckets, angles, and shot
         noise.
-    engine:
-        Pre-built execution engine; built from the config when omitted.
     bucket_size:
         Bucket size to use; derived from the config's target probability when
         omitted.
@@ -290,4 +359,4 @@ def run_ensemble_member(normalized_data: np.ndarray, config: QuorumConfig,
     plan = plan_member(normalized_data.shape[0], normalized_data.shape[1],
                        config, member_index, member_seed,
                        bucket_size=bucket_size)
-    return execute_member(normalized_data, plan, config, engine=engine)
+    return execute_member(normalized_data, plan, config)

@@ -5,9 +5,9 @@ the SWAP-test ancilla for this encoded sample, this random ansatz, and this
 compression level?" -- with a different cost/fidelity trade-off:
 
 * :class:`AnalyticEngine` evaluates the reduced-density-matrix expression exactly
-  (vectorized over a whole batch of samples) and optionally adds binomial shot
-  noise.  This is the default for noiseless sweeps and is cross-validated against
-  the circuit-level engines in the test suite.
+  (vectorized over a whole stack of members and samples) and optionally adds
+  binomial shot noise.  This is the default for noiseless sweeps and is
+  cross-validated against the circuit-level engines in the test suite.
 * :class:`DensityMatrixEngine` evolves register A's density matrix exactly.  The
   noiseless path runs the whole sample batch through the batched kernels of a
   :class:`~repro.quantum.backend.SimulationBackend`; noisy or gate-level runs
@@ -86,16 +86,42 @@ def apply_shot_noise(exact_p1: np.ndarray, shots: Optional[int],
     return rng.binomial(shots, clipped) / float(shots)
 
 
+def _validated_levels(compression_levels: Sequence[int],
+                      num_qubits: int) -> list:
+    """Validate a compression sweep for ``p1_levels_batch`` implementations."""
+    levels = [int(level) for level in compression_levels]
+    if not levels:
+        raise ValueError("at least one compression level is required")
+    for level in levels:
+        if not 0 <= level <= num_qubits:
+            raise ValueError("compression level out of range")
+    return levels
+
+
+def _validated_rows(amplitudes: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Check that the last axis holds normalized ``2**num_qubits`` amplitudes."""
+    if amplitudes.shape[-1] != 2 ** num_qubits:
+        raise ValueError("amplitude width does not match the ansatz register")
+    norms = np.sqrt(np.einsum("...i,...i->...", amplitudes, amplitudes))
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        # The circuit-level path would reject this in `initialize`; fail the
+        # batched paths just as loudly instead of returning garbage overlaps.
+        raise ValueError("amplitude rows must be normalized statevectors")
+    return amplitudes
+
+
 class SwapTestEngine(ABC):
     """Interface shared by the three execution strategies.
 
-    Every engine executes *compiled programs* by default: circuits are lowered
-    once through a :class:`~repro.quantum.compiler.CircuitCompiler` (shared
-    LRU cache keyed by circuit signature, noise fingerprint, and backend
-    dtype) into fused dense operators, and the per-sweep work reduces to a few
-    batched matmuls.  ``compile_circuits=False`` selects the gate-by-gate
-    interpreted paths, retained as the reference implementation for the parity
-    test suite.
+    Circuit-level sweeps execute *compiled programs* by default: circuits are
+    lowered once through a :class:`~repro.quantum.compiler.CircuitCompiler`
+    (shared LRU cache keyed by circuit signature, noise fingerprint, and
+    backend dtype) into fused dense operators, and the per-sweep work reduces
+    to a few batched matmuls.  ``compile_circuits=False`` selects the
+    gate-by-gate interpreted paths, retained as the reference implementation
+    for the parity test suite.  The member encoder ``E`` never goes through
+    the compiler: every engine takes it from
+    :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`.
     """
 
     def __init__(self, shots: Optional[int] = 4096,
@@ -107,10 +133,21 @@ class SwapTestEngine(ABC):
         if shots is not None and shots < 1:
             raise ValueError("shots must be positive or None for exact probabilities")
         self.shots = shots
-        self.rng = rng or np.random.default_rng()
+        self._rng = rng
         self.backend = get_simulation_backend(simulation_backend)
         self.compiler = compiler if compiler is not None else default_compiler()
         self.compile_circuits = bool(compile_circuits)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The shot-noise generator; a fresh one is seeded on first use.
+
+        Exact engines (``shots=None``) never draw, so they never pay for
+        seeding a generator from OS entropy.
+        """
+        if self._rng is None:
+            self._rng = np.random.default_rng()
+        return self._rng
 
     @abstractmethod
     def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
@@ -129,7 +166,7 @@ class SwapTestEngine(ABC):
         per-level loop did); engines whose levels share expensive intermediate
         state override it with a genuinely fused computation.
         """
-        levels = self._validated_levels(compression_levels, ansatz)
+        levels = _validated_levels(compression_levels, ansatz.num_qubits)
         return np.stack([
             self.p1_batch(amplitudes, ansatz, level)
             for level in levels
@@ -142,36 +179,18 @@ class SwapTestEngine(ABC):
         batch = np.asarray(amplitudes, dtype=float).reshape(1, -1)
         return float(self.p1_batch(batch, ansatz, compression_level)[0])
 
-    def _validated_levels(self, compression_levels: Sequence[int],
-                          ansatz: RandomAutoencoderAnsatz) -> list:
-        """Validate a compression sweep for ``p1_levels_batch`` implementations."""
-        levels = [int(level) for level in compression_levels]
-        if not levels:
-            raise ValueError("at least one compression level is required")
-        for level in levels:
-            if not 0 <= level <= ansatz.num_qubits:
-                raise ValueError("compression level out of range")
-        return levels
-
     def _validated_amplitudes(self, amplitudes: np.ndarray,
                               ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
         """Level-independent amplitude validation, shared by every entry point.
 
         Level sweeps validate amplitudes exactly once (and validate *every*
-        level of the sweep via :meth:`_validated_levels`), rather than checking
+        level of the sweep via :func:`_validated_levels`), rather than checking
         the batch against the first level only.
         """
         amplitudes = np.asarray(amplitudes, dtype=float)
         if amplitudes.ndim != 2:
             raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
-        if amplitudes.shape[1] != 2 ** ansatz.num_qubits:
-            raise ValueError("amplitude width does not match the ansatz register")
-        norms = np.linalg.norm(amplitudes, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            # The circuit-level path would reject this in `initialize`; fail the
-            # batched paths just as loudly instead of returning garbage overlaps.
-            raise ValueError("amplitude rows must be normalized statevectors")
-        return amplitudes
+        return _validated_rows(amplitudes, ansatz.num_qubits)
 
     def _validated_batch(self, amplitudes: np.ndarray,
                          ansatz: RandomAutoencoderAnsatz,
@@ -183,28 +202,13 @@ class SwapTestEngine(ABC):
 
     def _apply_shot_noise(self, exact_p1: np.ndarray) -> np.ndarray:
         """Replace exact probabilities with binomial shot estimates."""
+        if self.shots is None:
+            return exact_p1
         return apply_shot_noise(exact_p1, self.shots, self.rng)
-
-    def _encoder_unitary(self, ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
-        """The member's dense encoder ``E`` -- the compiled pure-state program.
-
-        With compilation on, the encoder circuit is fused through the shared
-        compiler cache (one ``2^n x 2^n`` unitary per member, reused across
-        engines, levels, and repeated sweeps); the lowering matches
-        :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`
-        operation for operation, so results are bitwise unchanged.  With
-        compilation off, the ansatz's own per-instance cache is used.
-        """
-        if self.compile_circuits:
-            return self.compiler.fused_unitary(
-                ansatz.encoder_circuit(list(range(ansatz.num_qubits))),
-                self.backend,
-            )
-        return ansatz.encoder_unitary()
 
 
 class AnalyticEngine(SwapTestEngine):
-    """Exact reduced-density-matrix evaluation, vectorized over samples.
+    """Exact reduced-density-matrix evaluation over members and samples.
 
     For register A the circuit applies ``E``, resets the first ``k`` qubits, and
     applies ``E^dagger``; the SWAP test against the untouched encoding ``|psi>``
@@ -212,6 +216,11 @@ class AnalyticEngine(SwapTestEngine):
     ``|phi> = E |psi>`` and splitting the basis index into (reset bits ``s``, kept
     bits ``r``), the overlap reduces to ``sum_s |<phi[:, 0], phi[:, s]>|^2`` --
     a handful of dense inner products per sample.
+
+    :meth:`exact_levels_stack` evaluates a whole stack of members at once; the
+    per-member :meth:`p1_levels_batch` is its one-member case plus shot noise.
+    The engine never touches the circuit compiler: encoders come from
+    :func:`~repro.algorithms.ansatz.encoder_unitaries`.
     """
 
     def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
@@ -221,25 +230,44 @@ class AnalyticEngine(SwapTestEngine):
     def p1_levels_batch(self, amplitudes: np.ndarray,
                         ansatz: RandomAutoencoderAnsatz,
                         compression_levels: Sequence[int]) -> np.ndarray:
-        levels = self._validated_levels(compression_levels, ansatz)
-        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.ndim != 2:
+            raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
+        exact = self.exact_levels_stack(amplitudes[None],
+                                        ansatz.encoder_unitary()[None],
+                                        compression_levels)[0]
         # One elementwise binomial call over the (levels, samples) array draws
         # bit-identically to the historical sequential per-level calls.
-        return self._apply_shot_noise(
-            self._exact_levels_batch(amplitudes, ansatz, levels)
-        )
+        return self._apply_shot_noise(exact)
 
-    def _exact_levels_batch(self, amplitudes: np.ndarray,
-                            ansatz: RandomAutoencoderAnsatz,
-                            levels: Sequence[int]) -> np.ndarray:
-        # |phi_i> = E |psi_i>, the whole batch in one matmul (E is cached on the
-        # ansatz, so it is built once per ensemble member) -- and shared by every
-        # compression level of the sweep.
-        phi = self.backend.apply_unitary_batch(
-            self.backend.as_states(amplitudes), self._encoder_unitary(ansatz)
-        )
-        overlap = self.backend.compression_overlap_levels(phi, levels)
-        return np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
+    def exact_levels_stack(self, amplitudes: np.ndarray, encoders: np.ndarray,
+                           compression_levels: Sequence[int]) -> np.ndarray:
+        """Exact P(1) of a member stack; shape ``(members, levels, samples)``.
+
+        ``amplitudes`` is ``(members, samples, 2^n)`` and ``encoders`` the
+        matching ``(members, 2^n, 2^n)`` stack.  ``|phi> = E |psi>`` is one
+        batched matmul for the whole stack, shared by every compression
+        level.  Each member's rows go through the same per-row arithmetic
+        whatever else is in the stack, so a member's result does not depend
+        on the stack it runs in.
+        """
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.ndim != 3:
+            raise ValueError(
+                "amplitudes must be a (members, samples, 2**n) stack")
+        members, samples, dim = amplitudes.shape
+        if np.shape(encoders) != (members, dim, dim):
+            raise ValueError("amplitude width does not match the ansatz register")
+        num_qubits = dim.bit_length() - 1
+        _validated_rows(amplitudes, num_qubits)
+        levels = _validated_levels(compression_levels, num_qubits)
+        phi = self.backend.apply_unitary_stack(amplitudes, encoders)
+        overlap = self.backend.compression_overlap_levels(
+            phi.reshape(members * samples, dim), levels)
+        exact = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
+        return np.ascontiguousarray(
+            exact.reshape(len(levels), members, samples).transpose(1, 0, 2))
+
 
 class DensityMatrixEngine(SwapTestEngine):
     """Exact density-matrix simulation (optionally noisy).
@@ -282,7 +310,7 @@ class DensityMatrixEngine(SwapTestEngine):
     def p1_levels_batch(self, amplitudes: np.ndarray,
                         ansatz: RandomAutoencoderAnsatz,
                         compression_levels: Sequence[int]) -> np.ndarray:
-        levels = self._validated_levels(compression_levels, ansatz)
+        levels = _validated_levels(compression_levels, ansatz.num_qubits)
         amplitudes = self._validated_amplitudes(amplitudes, ansatz)
         if self.noise_model is not None or self.gate_level_encoding:
             return self.p1_levels_batch_circuit_level(amplitudes, ansatz, levels)
@@ -295,7 +323,7 @@ class DensityMatrixEngine(SwapTestEngine):
                             levels: Sequence[int]) -> np.ndarray:
         backend = self.backend
         psi = backend.as_states(amplitudes)
-        encoder = self._encoder_unitary(ansatz)
+        encoder = ansatz.encoder_unitary()
         decoder = encoder.conj().T
         # Encoding and the pure-state density build are level-independent and
         # run once for the whole sweep; only the (cheap) reset/decode/overlap
@@ -331,7 +359,7 @@ class DensityMatrixEngine(SwapTestEngine):
         shot-noise RNG is consumed in the exact level-major order the
         historical per-level loop used.
         """
-        levels = self._validated_levels(compression_levels, ansatz)
+        levels = _validated_levels(compression_levels, ansatz.num_qubits)
         amplitudes = self._validated_amplitudes(amplitudes, ansatz)
         # One elementwise binomial call over the (levels, samples) array draws
         # bit-identically to the historical sequential per-level calls.
@@ -502,7 +530,7 @@ class StatevectorEngine(SwapTestEngine):
                   shots_per_trajectory: np.ndarray) -> np.ndarray:
         """Trajectory-sample one chunk of samples as a single flat batch."""
         backend = self.backend
-        encoder = self._encoder_unitary(ansatz)
+        encoder = ansatz.encoder_unitary()
         psi = backend.as_states(amplitudes)
         phi = backend.apply_unitary_batch(psi, encoder)
         # One flat batch over (sample, trajectory) pairs; sample-major so that

@@ -3,16 +3,16 @@
 The detector's members share nothing (Section IV-F calls the design
 "embarrassingly parallel").  :func:`run_ensemble_members` builds one cheap,
 picklable :class:`~repro.core.ensemble.MemberPlan` per member up front, then
-runs every plan through :func:`~repro.core.ensemble.execute_member` -- the
-only way a member executes -- in one of two places, chosen by
-``QuorumConfig.n_jobs`` alone:
+runs the plans through :func:`~repro.core.ensemble.execute_members` -- the
+only way members execute, in chunks of stacked array passes -- in one of two
+places, chosen by ``QuorumConfig.n_jobs`` alone:
 
-* ``serial`` (``n_jobs == 1`` or a single member) -- a plain loop in the
-  calling process.
+* ``serial`` (``n_jobs == 1`` or a single member) -- one call in the calling
+  process.
 * ``processes`` (``n_jobs > 1``) -- a process pool whose workers map the
   dataset once from ``multiprocessing.shared_memory`` instead of receiving one
-  pickled copy each; only the tiny plans and result arrays cross process
-  boundaries.
+  pickled copy each; each task is a slice of plans, and only the tiny plans
+  and result arrays cross process boundaries.
 
 Pool failures -- ``OSError``/``ValueError`` (restricted environments: no
 ``/dev/shm``, sandboxed fork), ``PicklingError``/``RuntimeError``
@@ -22,7 +22,8 @@ logged and returned as :attr:`EnsembleRun.executor`, which the detector
 reports as ``diagnostics()["executor"]``.
 
 Both paths produce bit-identical scores for a fixed seed: every member owns an
-independent RNG stream carried by its plan.
+independent RNG stream carried by its plan, and a member's result does not
+depend on which other members share its chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.core.config import QuorumConfig
 from repro.core.ensemble import (
     EnsembleMemberResult,
     MemberPlan,
-    execute_member,
+    execute_members,
+    members_per_chunk,
     plan_member,
 )
 
@@ -89,12 +91,12 @@ def _init_shared_worker(shm_name: str, shape: Tuple[int, ...],
                                  buffer=_WORKER_SHM.buf)
 
 
-def _run_planned_member(args: Tuple[MemberPlan, QuorumConfig]
-                        ) -> EnsembleMemberResult:
-    plan, config = args
+def _run_planned_members(args: Tuple[Sequence[MemberPlan], QuorumConfig]
+                         ) -> List[EnsembleMemberResult]:
+    plans, config = args
     if _WORKER_DATASET is None:
         raise RuntimeError("worker process was not initialized with the dataset")
-    return execute_member(_WORKER_DATASET, plan, config)
+    return execute_members(_WORKER_DATASET, plans, config)
 
 
 def _run_process_pool(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
@@ -103,8 +105,16 @@ def _run_process_pool(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
 
     The dataset is written once into ``multiprocessing.shared_memory``; every
     worker maps that one block instead of unpickling its own copy, so task
-    payloads shrink to (plan, config) tuples regardless of dataset size.
+    payloads shrink to (plans, config) tuples regardless of dataset size.
+    Each task is a slice of at most one chunk of plans
+    (:func:`~repro.core.ensemble.members_per_chunk`), small enough that every
+    worker gets one.
     """
+    workers = min(config.n_jobs, len(plans))
+    size = min(members_per_chunk(normalized_data.shape[0]),
+               -(-len(plans) // workers))
+    tasks = [(plans[start:start + size], config)
+             for start in range(0, len(plans), size)]
     normalized_data = np.ascontiguousarray(normalized_data)
     shm = shared_memory.SharedMemory(create=True, size=normalized_data.nbytes)
     try:
@@ -113,13 +123,14 @@ def _run_process_pool(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
         view[:] = normalized_data
         context = multiprocessing.get_context()
         with context.Pool(
-            processes=min(config.n_jobs, len(plans)),
+            processes=workers,
             initializer=_init_shared_worker,
             initargs=(shm.name, normalized_data.shape,
                       normalized_data.dtype.str),
         ) as pool:
-            return pool.map(_run_planned_member,
-                            [(plan, config) for plan in plans])
+            return [result
+                    for chunk in pool.map(_run_planned_members, tasks)
+                    for result in chunk]
     finally:
         shm.close()
         try:
@@ -142,11 +153,6 @@ def plan_members(num_samples: int, num_features: int, config: QuorumConfig,
                     bucket_size=bucket_size)
         for index, seed in enumerate(seeds)
     ]
-
-
-def _run_serial(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
-                config: QuorumConfig) -> List[EnsembleMemberResult]:
-    return [execute_member(normalized_data, plan, config) for plan in plans]
 
 
 def run_ensemble_members(normalized_data: np.ndarray, config: QuorumConfig,
@@ -173,7 +179,7 @@ def run_ensemble_members(normalized_data: np.ndarray, config: QuorumConfig,
     plans = build_plans()
     if config.n_jobs <= 1 or len(plans) <= 1:
         used = "serial"
-        results = _run_serial(normalized_data, plans, config)
+        results = execute_members(normalized_data, plans, config)
     else:
         try:
             results = _run_process_pool(normalized_data, plans, config)
@@ -192,7 +198,7 @@ def run_ensemble_members(normalized_data: np.ndarray, config: QuorumConfig,
             # before failing advanced those plans' RNGs, and reusing them would
             # silently break the fixed-seed bit-identity guarantee.
             plans = build_plans()
-            results = _run_serial(normalized_data, plans, config)
+            results = execute_members(normalized_data, plans, config)
     logger.info("ensemble of %d members executed with the %r executor",
                 len(plans), used)
     return EnsembleRun(results, plans, used)

@@ -10,7 +10,7 @@ the "sum absolute std. deviation" score plotted in Fig. 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "bucket_deviations",
     "bucket_statistics",
     "reference_deviations",
+    "stacked_bucket_scores",
     "AnomalyScores",
 ]
 
@@ -70,6 +71,73 @@ class BucketStatistics:
         return 2
 
 
+def _check_coverage(p1_values: np.ndarray, buckets: BucketAssignment) -> None:
+    if buckets.num_samples != p1_values.shape[0]:
+        raise ValueError(
+            f"bucket assignment covers {buckets.num_samples} samples but "
+            f"{p1_values.shape[0]} P(1) values were provided"
+        )
+
+
+def _bucket_moments(p1_values: np.ndarray, bins: np.ndarray,
+                    num_bins: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-bin mean and population std of ``p1_values`` grouped by ``bins``.
+
+    ``np.bincount`` adds each bin's values in the order they occur, so a bin
+    gets the same sums whether it is scored alone or next to other runs.
+    """
+    counts = np.bincount(bins, minlength=num_bins)
+    means = np.bincount(bins, weights=p1_values, minlength=num_bins) / counts
+    centered = p1_values - means[bins]
+    variances = np.bincount(bins, weights=centered * centered,
+                            minlength=num_bins) / counts
+    return means, np.sqrt(variances)
+
+
+def _bucket_z_scores(p1_values: np.ndarray, bins: np.ndarray,
+                     means: np.ndarray, stds: np.ndarray,
+                     live: np.ndarray) -> np.ndarray:
+    """``|p1 - mean| / std`` of every value in its bin; 0 in degenerate bins."""
+    scale = np.where(live, stds, 1.0)
+    deviations = np.abs(p1_values - means[bins]) / scale[bins]
+    deviations[~live[bins]] = 0.0
+    return deviations
+
+
+def stacked_bucket_scores(p1_values: np.ndarray, labels: np.ndarray,
+                          num_buckets: Sequence[int]
+                          ) -> Tuple[List[BucketStatistics], np.ndarray]:
+    """Bucket statistics and deviations of many runs in one array pass.
+
+    ``p1_values`` is ``(runs, samples)`` -- one row per (member, level) pair
+    -- and ``labels[r, i]`` the bucket of sample ``i`` in run ``r``, with run
+    ``r`` using ``num_buckets[r]`` buckets.  Offsetting every run's labels by
+    the buckets of the runs before it turns the whole stack into one
+    ``np.bincount`` problem.  Returns one :class:`BucketStatistics` per run and
+    the ``(runs, samples)`` absolute z-scores; both are bitwise what
+    :func:`bucket_statistics` and :func:`bucket_deviations` give for each run
+    on its own.
+    """
+    p1_values = np.asarray(p1_values, dtype=float)
+    labels = np.asarray(labels)
+    num_buckets = np.asarray(num_buckets, dtype=np.intp)
+    if p1_values.ndim != 2 or labels.shape != p1_values.shape:
+        raise ValueError("p1_values and labels must both be (runs, samples)")
+    if num_buckets.shape != (p1_values.shape[0],):
+        raise ValueError("num_buckets must hold one count per run")
+    stops = np.cumsum(num_buckets)
+    starts = stops - num_buckets
+    bins = (labels + starts[:, None]).ravel()
+    flat = p1_values.ravel()
+    means, stds = _bucket_moments(flat, bins, int(stops[-1]))
+    live = stds >= _MIN_STD
+    deviations = _bucket_z_scores(flat, bins, means, stds, live)
+    statistics = [BucketStatistics(means=means[start:stop],
+                                   stds=stds[start:stop])
+                  for start, stop in zip(starts, stops)]
+    return statistics, deviations.reshape(p1_values.shape)
+
+
 def bucket_statistics(p1_values: np.ndarray, buckets: BucketAssignment
                       ) -> BucketStatistics:
     """Per-bucket :class:`BucketStatistics` (means, stds, live mask).
@@ -77,19 +145,12 @@ def bucket_statistics(p1_values: np.ndarray, buckets: BucketAssignment
     These are the *reference statistics* a serving artifact freezes at fit
     time: a previously unseen sample is later scored against them with
     :func:`reference_deviations` instead of recomputing in-batch statistics.
+    This is the one-run case of :func:`stacked_bucket_scores`.
     """
     p1_values = np.asarray(p1_values, dtype=float).ravel()
-    if buckets.num_samples != p1_values.shape[0]:
-        raise ValueError(
-            f"bucket assignment covers {buckets.num_samples} samples but "
-            f"{p1_values.shape[0]} P(1) values were provided"
-        )
-    means = np.empty(buckets.num_buckets)
-    stds = np.empty(buckets.num_buckets)
-    for position, bucket in enumerate(buckets.buckets):
-        values = p1_values[np.asarray(bucket, dtype=int)]
-        means[position] = values.mean()
-        stds[position] = values.std()
+    _check_coverage(p1_values, buckets)
+    means, stds = _bucket_moments(p1_values, buckets.labels,
+                                  buckets.num_buckets)
     return BucketStatistics(means=means, stds=stds)
 
 
@@ -103,29 +164,18 @@ def bucket_deviations(p1_values: np.ndarray, buckets: BucketAssignment,
     the degenerate set comes from the statistics' precomputed ``live`` mask.
     ``statistics`` accepts the output of :func:`bucket_statistics` (or a
     legacy ``(means, stds)`` tuple) for the same ``(p1_values, buckets)``
-    pair so callers that need both (the ensemble executor records reference
-    statistics for serving) do not compute the bucket moments twice.
+    pair so callers that need both do not compute the bucket moments twice.
+    This is the one-run case of :func:`stacked_bucket_scores`.
     """
     p1_values = np.asarray(p1_values, dtype=float).ravel()
-    if buckets.num_samples != p1_values.shape[0]:
-        raise ValueError(
-            f"bucket assignment covers {buckets.num_samples} samples but "
-            f"{p1_values.shape[0]} P(1) values were provided"
-        )
+    _check_coverage(p1_values, buckets)
     if statistics is None:
         statistics = bucket_statistics(p1_values, buckets)
     elif not isinstance(statistics, BucketStatistics):
         means, stds = statistics
         statistics = BucketStatistics(means=means, stds=stds)
-    means, stds, live = statistics.means, statistics.stds, statistics.live
-    deviations = np.zeros_like(p1_values)
-    for position, bucket in enumerate(buckets.buckets):
-        if not live[position]:
-            continue
-        indices = np.asarray(bucket, dtype=int)
-        deviations[indices] = (np.abs(p1_values[indices] - means[position])
-                               / stds[position])
-    return deviations
+    return _bucket_z_scores(p1_values, buckets.labels, statistics.means,
+                            statistics.stds, statistics.live)
 
 
 def reference_deviations(p1_values: np.ndarray, means: np.ndarray,

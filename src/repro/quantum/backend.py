@@ -184,27 +184,6 @@ class SimulationBackend(ABC):
         return rhos.copy()
 
     # ------------------------------------------------------ compiled programs
-    def apply_compiled_unitary_batch(self, states: np.ndarray,
-                                     operators) -> np.ndarray:
-        """Run a compiled pure-state program over a state batch.
-
-        ``operators`` is a :class:`repro.quantum.compiler.CompiledProgram` (or
-        any iterable of its fused operators): each entry carries a dense
-        ``2^k x 2^k`` unitary and its ascending support qubits.  The default
-        chains :meth:`apply_gate_batch` per fused block, so every backend
-        inherits compiled execution; array-library backends can override to
-        run the whole chain on-device.
-        """
-        for operator in getattr(operators, "operators", operators):
-            if operator.kind != "unitary":
-                raise ValueError(
-                    "a compiled unitary program cannot contain "
-                    f"'{operator.kind}' operators"
-                )
-            states = self.apply_gate_batch(states, operator.matrix,
-                                           operator.qubits)
-        return states
-
     def apply_compiled_superoperator_batch(self, rhos: np.ndarray,
                                            operators) -> np.ndarray:
         """Run a compiled channel program over a density batch.
@@ -213,9 +192,9 @@ class SimulationBackend(ABC):
         any iterable of its fused operators).  ``"unitary"`` blocks are applied
         by conjugation (:meth:`apply_gate_density_batch`, a factor ``2^k``
         cheaper than a superoperator pass), ``"superoperator"`` blocks through
-        :meth:`apply_superoperator_density_batch`.  Like the unitary twin this
-        is a default chaining implementation meant to be inherited (and
-        overridable as one fused on-device kernel).
+        :meth:`apply_superoperator_density_batch`.  This is a default
+        chaining implementation meant to be inherited (and overridable as one
+        fused on-device kernel).
         """
         for operator in getattr(operators, "operators", operators):
             if operator.kind == "unitary":
@@ -260,6 +239,24 @@ class SimulationBackend(ABC):
         superop = (np.kron(zero_zero, zero_zero.conj())
                    + np.kron(zero_one, zero_one.conj()))
         return self.apply_superoperator_density_batch(rhos, superop, [qubit])
+
+    def apply_unitary_stack(self, states: np.ndarray,
+                            unitaries: np.ndarray) -> np.ndarray:
+        """One unitary per member over that member's state batch.
+
+        ``states`` is ``(members, batch, 2**n)`` and ``unitaries``
+        ``(members, 2**n, 2**n)``; row ``i`` of member ``m`` becomes
+        ``U_m |psi_mi>``.  One batched matmul covers the whole stack, and a
+        member's rows get the same arithmetic whatever stack they are in.
+        """
+        states = np.asarray(states, dtype=self.dtype)
+        unitaries = np.asarray(unitaries, dtype=self.dtype)
+        if states.ndim != 3:
+            raise ValueError("a state stack must be (members, batch, 2**n)")
+        members, _, dim = states.shape
+        if unitaries.shape != (members, dim, dim):
+            raise ValueError("unitary stack does not match the state stack")
+        return states @ np.swapaxes(unitaries, 1, 2)
 
     def compression_overlap_levels(self, states: np.ndarray,
                                    levels: Sequence[int]) -> np.ndarray:

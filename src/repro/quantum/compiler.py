@@ -299,12 +299,12 @@ class CircuitCompiler:
                       ) -> np.ndarray:
         """The whole circuit as ONE dense full-register unitary (cached).
 
-        This is what the SWAP-test engines use for the member ansatz: the
-        encoder circuit collapses to a single ``2^n x 2^n`` matrix applied as
-        one batched matmul per sweep.  The construction matches
-        :meth:`repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`
-        operation for operation, so compiled pure-state results are bitwise
-        identical to the interpreted path.
+        The fused blocks are pushed through the backend's batched gate kernel
+        (:meth:`~repro.quantum.backend.SimulationBackend.unitary_from_instructions`),
+        so for an unoptimized circuit the result is bitwise the gate-by-gate
+        unitary.  The SWAP-test engines do not use it for the member ansatz:
+        their encoders come from
+        :func:`repro.algorithms.ansatz.encoder_unitaries`.
         """
         backend = get_simulation_backend(backend)
         key = ("fused_unitary", str(backend.dtype), self.optimize,

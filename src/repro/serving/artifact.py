@@ -338,10 +338,14 @@ class ModelArtifact:
         across file formatting (indentation, key order) and identical for an
         artifact loaded from disk and the same artifact still in memory --
         which is what lets :class:`~repro.serving.registry.ModelRegistry` key
-        fit-as-a-job results and ``load_model`` results uniformly.
+        fit-as-a-job results and ``load_model`` results uniformly.  The
+        ``created_at`` stamp is left out: it records when a snapshot was
+        taken, not what the model is, so two snapshots of one fit share a
+        digest whatever the clock said.
         """
-        canonical = json.dumps(self.to_payload(), sort_keys=True,
-                               separators=(",", ":"))
+        payload = self.to_payload()
+        del payload["created_at"]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------- (de)coding

@@ -10,7 +10,8 @@ Every scorer the registry builds shares ONE :class:`CircuitCompiler`: the
 compiled-program LRU is keyed by (circuit signature, noise fingerprint,
 backend dtype), so two registered artifacts that share members -- e.g. the
 same bundle loaded under two ids, or a replica fleet's common model -- reuse
-each other's compiled encoders and suffix observables.  The registry's
+each other's compiled circuit programs and suffix observables (analytic
+models compile nothing).  The registry's
 ``diagnostics`` exposes the shared cache counters so tests (and operators)
 can prove the reuse.
 

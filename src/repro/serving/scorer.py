@@ -28,8 +28,10 @@ member's persisted post-planning RNG state.  Two consequences:
 The micro-batching queue (:meth:`OnlineScorer.submit`) coalesces concurrent
 requests into one ``(levels x samples)`` fused batch per ensemble member, so
 the per-request marginal cost is the sample-dependent prefix plus one matmul
-per compression level -- the compiled encoder unitaries and suffix observables
-come from the process-wide compiler cache and are reused across requests.
+per compression level -- each member's encoder unitary is built once and
+cached on its ansatz, and circuit-level engines take their compiled suffix
+observables from the process-wide compiler cache; both are reused across
+requests.
 
 The trajectory-sampled statevector engine consumes randomness *during*
 evolution, so its requests are executed one at a time (each with a freshly

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bucketing import (
+    BucketAssignment,
     assign_buckets,
     bucket_size_for_probability,
     probability_of_anomalous_bucket,
@@ -114,3 +115,17 @@ class TestAssignment:
         lists = assignment.as_lists()
         assert isinstance(lists[0], list)
         assert sum(len(bucket) for bucket in lists) == 12
+
+    def test_labels_and_buckets_describe_one_partition(self):
+        dealt = assign_buckets(23, 5, np.random.default_rng(4))
+        rebuilt = BucketAssignment(buckets=dealt.buckets)
+        assert rebuilt == dealt
+        assert np.array_equal(rebuilt.labels, dealt.labels)
+        for bucket, samples in enumerate(dealt.buckets):
+            assert np.all(dealt.labels[list(samples)] == bucket)
+
+    @pytest.mark.parametrize("buckets", [((0, 1), (1, 2)), ((0, 2),),
+                                         ((0, -1),)])
+    def test_non_partitions_are_rejected(self, buckets):
+        with pytest.raises(ValueError, match="partition"):
+            BucketAssignment(buckets=buckets)

@@ -78,7 +78,7 @@ class TestExecutorDeterminism:
 
         # A stand-in pool that always succeeds, so the recorded executor does
         # not depend on whether this host can start worker processes.
-        monkeypatch.setattr(parallel, "_run_process_pool", parallel._run_serial)
+        monkeypatch.setattr(parallel, "_run_process_pool", parallel.execute_members)
         detector = QuorumDetector(ensemble_groups=2, shots=None, seed=1,
                                   n_jobs=2)
         detector.fit(toy_data(num_samples=20))

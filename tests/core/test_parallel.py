@@ -90,7 +90,7 @@ class TestExecutorSelectionAndFallback:
 
         def recording_pool(normalized_data, plans, config):
             pool_calls.append(len(plans))
-            return parallel._run_serial(normalized_data, plans, config)
+            return parallel.execute_members(normalized_data, plans, config)
 
         monkeypatch.setattr(parallel, "_run_process_pool", recording_pool)
         config = QuorumConfig(ensemble_groups=members, shots=None, seed=5,
@@ -158,10 +158,10 @@ class TestExecutorSelectionAndFallback:
     def test_serial_strategy_errors_propagate(self, monkeypatch):
         from repro.core import parallel
 
-        def broken_execute(normalized_data, plan, config, engine=None):
+        def broken_execute(normalized_data, plans, config):
             raise RuntimeError("member exploded")
 
-        monkeypatch.setattr(parallel, "execute_member", broken_execute)
+        monkeypatch.setattr(parallel, "execute_members", broken_execute)
         config = QuorumConfig(ensemble_groups=2, shots=None, seed=4, n_jobs=1)
         with pytest.raises(RuntimeError, match="member exploded"):
             run_ensemble_members(toy_data(), config, derive_member_seeds(4, 2))
@@ -173,7 +173,7 @@ class TestExecutorSelectionAndFallback:
 
         def partially_failing_pool(normalized_data, plans, config):
             # Consume the first plan's RNG exactly like a real run would...
-            parallel.execute_member(normalized_data, plans[0], config)
+            parallel.execute_members(normalized_data, plans[:1], config)
             # ...then die as if the pool broke mid-flight.
             raise RuntimeError("pool collapsed mid-run")
 

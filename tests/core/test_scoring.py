@@ -11,6 +11,7 @@ from repro.core.scoring import (
     bucket_deviations,
     bucket_statistics,
     reference_deviations,
+    stacked_bucket_scores,
 )
 
 
@@ -112,6 +113,34 @@ class TestBucketStatistics:
         masked = reference_deviations(probes, statistics.means,
                                       statistics.stds, live=statistics.live)
         assert np.array_equal(plain, masked)
+
+
+class TestStackedBucketScores:
+    def test_runs_with_different_bucket_counts_match_one_run_calls(self):
+        rng = np.random.default_rng(12)
+        assignments = [assign_buckets(30, 6, np.random.default_rng(1)),
+                       assign_buckets(30, 10, np.random.default_rng(2)),
+                       BucketAssignment(buckets=(tuple(range(30)),))]
+        p1 = rng.uniform(size=(3, 30))
+        p1[1, assignments[1].labels == 0] = 0.25  # one degenerate bucket
+        statistics, deviations = stacked_bucket_scores(
+            p1, np.stack([a.labels for a in assignments]),
+            [a.num_buckets for a in assignments])
+        for run, assignment in enumerate(assignments):
+            alone = bucket_statistics(p1[run], assignment)
+            assert np.array_equal(statistics[run].means, alone.means)
+            assert np.array_equal(statistics[run].stds, alone.stds)
+            assert np.array_equal(statistics[run].live, alone.live)
+            assert np.array_equal(deviations[run],
+                                  bucket_deviations(p1[run], assignment))
+        assert not statistics[1].live[0]
+
+    def test_shape_mismatches_raise(self):
+        labels = np.zeros((2, 4), dtype=int)
+        with pytest.raises(ValueError, match="runs, samples"):
+            stacked_bucket_scores(np.zeros((2, 5)), labels, [1, 1])
+        with pytest.raises(ValueError, match="one count per run"):
+            stacked_bucket_scores(np.zeros((2, 4)), labels, [1])
 
 
 class TestReferenceDeviations:

@@ -26,9 +26,7 @@ from repro.serving.server import build_server
 from repro.serving.supervisor import (
     CRASH_LOOPED,
     EJECTED,
-    HEALTHY,
     STOPPED,
-    SUSPECT,
     FleetSupervisor,
     SupervisorPolicy,
 )

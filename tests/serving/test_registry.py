@@ -1,5 +1,7 @@
 """ModelRegistry: identity, lifecycle, and the shared compiler cache."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ def bundle(tmp_path_factory):
     return {"data": data, "detector": detector, "path": path}
 
 
+@pytest.fixture(scope="module")
+def circuit_bundle(tmp_path_factory):
+    """A model whose engine runs compiled circuit programs (the analytic
+    engine never uses the compiler)."""
+    data = _toy_data(samples=12)
+    detector = QuorumDetector(ensemble_groups=2, seed=11, shots=512,
+                              backend="density_matrix",
+                              gate_level_encoding=True)
+    detector.fit(data)
+    path = save_model(detector,
+                      tmp_path_factory.mktemp("registry") / "circuit.json")
+    return {"data": data, "path": path}
+
+
 class TestIdentity:
     def test_derived_id_is_sha_prefix(self, bundle):
         with ModelRegistry(compiler=CircuitCompiler()) as registry:
@@ -38,6 +54,31 @@ class TestIdentity:
         artifact = load_model(bundle["path"])
         in_memory = ModelArtifact.from_detector(bundle["detector"])
         assert artifact.content_sha256() == in_memory.content_sha256()
+
+    def test_creation_stamp_does_not_change_identity(self, bundle,
+                                                     monkeypatch, tmp_path):
+        import repro.serving.artifact as artifact_module
+
+        stamps = iter([datetime(2026, 1, 1, 0, 0, 0, tzinfo=timezone.utc),
+                       datetime(2026, 1, 1, 0, 0, 1, tzinfo=timezone.utc)])
+
+        class SteppingClock:
+            @staticmethod
+            def now(tz=None):
+                return next(stamps)
+
+        monkeypatch.setattr(artifact_module, "datetime", SteppingClock)
+        first = ModelArtifact.from_detector(bundle["detector"])
+        second = ModelArtifact.from_detector(bundle["detector"])
+        assert first.created_at != second.created_at
+        assert first.content_sha256() == second.content_sha256()
+        first_path = save_model(first, tmp_path / "first.json")
+        second_path = save_model(second, tmp_path / "second.json")
+        with ModelRegistry(compiler=CircuitCompiler()) as registry:
+            first_entry = registry.load(first_path)
+            second_entry = registry.load(second_path)
+            assert first_entry.sha256 == second_entry.sha256
+            assert first_entry.model_id == second_entry.model_id
 
     def test_identical_reload_is_idempotent(self, bundle):
         with ModelRegistry(compiler=CircuitCompiler()) as registry:
@@ -111,15 +152,15 @@ class TestLifecycle:
 
 
 class TestSharedCompilerCache:
-    def test_two_models_share_compiled_programs(self, bundle):
+    def test_two_models_share_compiled_programs(self, circuit_bundle):
         """Acceptance criterion: two concurrently served artifacts share the
         compiler cache -- scoring via the second id adds NO new compiles,
         only hits."""
         compiler = CircuitCompiler()
         with ModelRegistry(compiler=compiler) as registry:
-            registry.load(bundle["path"], model_id="a")
-            registry.load(bundle["path"], model_id="b")
-            probe = bundle["data"][:4]
+            registry.load(circuit_bundle["path"], model_id="a")
+            registry.load(circuit_bundle["path"], model_id="b")
+            probe = circuit_bundle["data"][:4]
 
             registry.get("a").scorer.submit(probe).result(timeout=60)
             warm = compiler.stats

@@ -8,7 +8,6 @@ qualitative claims (at a reduced, fast scale).
 import numpy as np
 
 from repro import (
-    QuorumConfig,
     QuorumDetector,
     detection_rate_curve,
     evaluate_top_k,

@@ -28,11 +28,7 @@ from repro.algorithms.swap_test import append_swap_test
 from repro.encoding.amplitude import state_preparation_circuit
 from repro.quantum.backend import SimulationBackend
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.compiler import (
-    CircuitCompiler,
-    CompiledProgram,
-    default_compiler,
-)
+from repro.quantum.compiler import CircuitCompiler, default_compiler
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import NoiseModel
 from repro.quantum.statevector import Statevector
@@ -53,10 +49,10 @@ def build_autoencoder_prefix(amplitudes: Sequence[float],
 
     Covers the amplitude encoding of both registers and the encoder ansatz on
     register A -- everything *before* the compression-level-dependent reset
-    block.  A whole compression sweep shares this prefix, which is what lets
-    the checkpointed density-matrix walk in
-    :class:`repro.quantum.simulator.BatchedDensityMatrixSimulator` evolve it
-    exactly once and replay only :func:`build_autoencoder_suffix` per level.
+    block.  Only the encoding depends on the sample: the folded noisy engine
+    (:class:`repro.core.execution.DensityMatrixEngine`) prepares it per
+    sample and compiles the encoder plus :func:`build_autoencoder_suffix` into
+    one observable per (member, level).
 
     Parameters
     ----------
@@ -104,8 +100,7 @@ def build_autoencoder_suffix(ansatz: RandomAutoencoderAnsatz,
     Covers the information bottleneck (``compression_level`` resets), the
     decoder, and the SWAP test with optional ancilla readout.  The suffix
     carries *no sample data* -- it is identical for every sample of a batch --
-    so a checkpointed walker can replay one suffix circuit against a whole
-    post-prefix density batch.  Composing
+    so its noisy channel is compiled once per (member, level).  Composing
     :func:`build_autoencoder_prefix` + this suffix reproduces
     :func:`build_autoencoder_circuit` instruction for instruction.
     """
@@ -206,9 +201,9 @@ class QuorumCircuitFactory:
 
     The factory also carries the :class:`~repro.quantum.compiler
     .CircuitCompiler` whose LRU cache holds this ansatz's compiled artifacts
-    (fused encoder unitary, per-level suffix channels and Heisenberg-picture
-    observables).  By default that is the process-wide shared compiler, so
-    engines, simulators, and factories all reuse one cache.
+    (fused encoder unitary and per-level Heisenberg-picture observables).
+    By default that is the process-wide shared compiler, so engines,
+    simulators, and factories all reuse one cache.
     """
 
     ansatz: RandomAutoencoderAnsatz
@@ -258,22 +253,6 @@ class QuorumCircuitFactory:
             self.ansatz.encoder_circuit(list(range(self.num_qubits))), backend
         )
 
-    def compiled_suffix_channel(self, compression_level: int,
-                                noise_model: Optional[NoiseModel] = None,
-                                backend: Union[str, SimulationBackend,
-                                               None] = None
-                                ) -> CompiledProgram:
-        """The per-level suffix as a compiled channel program.
-
-        Gates are fused with their ``noise_model`` channels and the reset
-        block into dense support-block superoperators; a GPU
-        :class:`~repro.quantum.backend.SimulationBackend` consumes the same
-        program unchanged through ``apply_compiled_superoperator_batch``.
-        """
-        return self.compiler.channel_program(
-            self.suffix(compression_level, measure=False), noise_model, backend
-        )
-
     def suffix_observable(self, compression_level: int,
                           noise_model: Optional[NoiseModel] = None,
                           backend: Union[str, SimulationBackend, None] = None
@@ -281,9 +260,8 @@ class QuorumCircuitFactory:
         """Heisenberg-picture observable of the suffix + ancilla readout.
 
         ``W = C^dagger(|1><1|_ancilla)`` for the level's suffix channel ``C``:
-        the SWAP-test P(1) of a post-prefix density batch is
-        ``backend.observable_expectation_density_batch(checkpoint, W)`` -- one
-        batched matmul per compression level.
+        the SWAP-test P(1) of a post-prefix state ``rho`` is
+        ``Re Tr(W^dagger rho)``.
         """
         return self.compiler.dual_observable(
             self.suffix(compression_level, measure=False), noise_model,

@@ -346,8 +346,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                              "runs them on a process pool of N workers; "
                              "scores are bit-identical either way")
     parser.add_argument("--no-compile", action="store_true",
-                        help="interpret circuits gate by gate instead of "
-                             "executing cached compiled operator programs "
+                        help="simulate every sample's full circuit instead "
+                             "of folding it into cached compiled observables "
                              "(reference path; slower)")
 
 

@@ -65,10 +65,10 @@ class QuorumConfig:
         :func:`repro.quantum.backend.available_simulation_backends` (default
         ``"numpy"``).
     compile_circuits:
-        Lower circuits ahead of time into cached fused dense operators (the
-        :mod:`repro.quantum.compiler` subsystem) instead of interpreting them
-        gate by gate (default ``True``; the interpreted paths remain available
-        as the reference implementation).
+        Fold circuit-level runs into cached compiled observables (the
+        :mod:`repro.quantum.compiler` subsystem) instead of simulating every
+        sample's full circuit (default ``True``; the per-sample simulator
+        remains available as the reference implementation).
     noisy:
         Apply the Brisbane-like noise model (only meaningful for the
         ``density_matrix`` backend).

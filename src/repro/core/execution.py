@@ -8,15 +8,13 @@ compression level?" -- with a different cost/fidelity trade-off:
   (vectorized over a whole stack of members and samples) and optionally adds
   binomial shot noise.  This is the default for noiseless sweeps and is
   cross-validated against the circuit-level engines in the test suite.
-* :class:`DensityMatrixEngine` evolves register A's density matrix exactly.  The
-  noiseless path runs the whole sample batch through the batched kernels of a
-  :class:`~repro.quantum.backend.SimulationBackend`; noisy or gate-level runs
-  simulate the full ``2n+1``-qubit circuit, but as one *batched* circuit walk
-  over all samples (every sample shares the gate structure; only the amplitude
-  encoding differs).  A noisy compression sweep additionally checkpoints the
-  post-encoding density batch -- every level shares the circuit prefix, so the
-  prefix is walked once per sweep and only the per-level suffix (reset +
-  decoder + SWAP test) is replayed from the checkpoint.
+* :class:`DensityMatrixEngine` evolves density matrices exactly.  The
+  noiseless path runs register A of the whole sample batch through the
+  batched kernels of a :class:`~repro.quantum.backend.SimulationBackend`.
+  Noisy or gate-level runs fold the full ``2n+1``-qubit circuit: every
+  sample's ``n``-qubit preparation is evolved at once, and everything after
+  it (encoder, resets, decoder, SWAP test) is one cached observable per
+  (member, level), contracted against all samples together.
 * :class:`StatevectorEngine` runs stochastic trajectories, mimicking how a
   shot-based hardware run (or Qiskit Aer's statevector method with mid-circuit
   resets) behaves.  All samples and all trajectories are evolved together as one
@@ -48,17 +46,16 @@ import numpy as np
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz
 from repro.algorithms.autoencoder import (
     build_autoencoder_circuit,
-    build_autoencoder_prefix,
     build_autoencoder_suffix,
 )
+from repro.encoding.amplitude import ROTATION_TOLERANCE, preparation_schedule
 from repro.quantum.backend import SimulationBackend, get_simulation_backend
 from repro.quantum.backends import FakeBrisbane
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.compiler import CircuitCompiler, default_compiler
+from repro.quantum.gates import GATE_MATRICES
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import (
-    BatchedDensityMatrixSimulator,
-    DensityMatrixSimulator,
-)
+from repro.quantum.simulator import DensityMatrixSimulator
 
 __all__ = [
     "SwapTestEngine",
@@ -113,14 +110,14 @@ def _validated_rows(amplitudes: np.ndarray, num_qubits: int) -> np.ndarray:
 class SwapTestEngine(ABC):
     """Interface shared by the three execution strategies.
 
-    Circuit-level sweeps execute *compiled programs* by default: circuits are
-    lowered once through a :class:`~repro.quantum.compiler.CircuitCompiler`
-    (shared LRU cache keyed by circuit signature, noise fingerprint, and
-    backend dtype) into fused dense operators, and the per-sweep work reduces
-    to a few batched matmuls.  ``compile_circuits=False`` selects the
-    gate-by-gate interpreted paths, retained as the reference implementation
-    for the parity test suite.  The member encoder ``E`` never goes through
-    the compiler: every engine takes it from
+    Circuit-level sweeps execute *compiled programs* by default: the
+    sample-independent part of the circuit is lowered once through a
+    :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU cache keyed by
+    circuit signature, noise fingerprint, and backend dtype), and the
+    per-sweep work reduces to a few batched matmuls.  ``compile_circuits=False``
+    selects the per-sample reference simulator, kept as the oracle for the
+    parity test suite.  The member encoder ``E`` of the noiseless paths never
+    goes through the compiler: every engine takes it from
     :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`.
     """
 
@@ -269,21 +266,54 @@ class AnalyticEngine(SwapTestEngine):
             exact.reshape(len(levels), members, samples).transpose(1, 0, 2))
 
 
+def _level_circuit(ansatz: RandomAutoencoderAnsatz,
+                   compression_level: int) -> QuantumCircuit:
+    """Everything after state preparation: encoder, resets, decoder, SWAP test.
+
+    The circuit carries no sample data, so its noisy channel is one per
+    (member, level).
+    """
+    num_qubits = ansatz.num_qubits
+    circuit = QuantumCircuit(2 * num_qubits + 1, 1, name="quorum_after_prep")
+    encoder = ansatz.encoder_circuit(list(range(num_qubits)),
+                                     num_circuit_qubits=circuit.num_qubits)
+    circuit.compose(encoder, clbits=[0] * encoder.num_clbits)
+    circuit.compose(build_autoencoder_suffix(ansatz, compression_level,
+                                             measure=False))
+    return circuit
+
+
 class DensityMatrixEngine(SwapTestEngine):
     """Exact density-matrix simulation (optionally noisy).
 
-    Noiseless runs evolve register A's ``2^n x 2^n`` density matrix for the
-    whole sample batch at once through the simulation backend's batched
-    kernels; this is mathematically identical to simulating the full
-    ``2n+1``-qubit circuit (the reference register stays pure and the SWAP test
-    reads ``P(1) = (1 - <psi| rho_A |psi>) / 2``).  Runs with a noise model or
-    gate-level encoding use :meth:`p1_batch_circuit_level`, which walks the full
-    circuit for *all samples at once* -- the gate structure is shared across the
-    batch, so noise channels apply to whole density-matrix batches and only the
-    amplitude encoding is per-sample.  Noisy compression sweeps go further:
-    :meth:`p1_levels_batch_circuit_level` walks the level-independent circuit
-    prefix exactly once for the whole ``(levels x samples)`` sweep, checkpoints
-    the post-prefix density batch, and replays only the per-level suffix.
+    Noiseless ``initialize`` runs evolve register A's ``2^n x 2^n`` density
+    matrix for the whole sample batch at once; this is mathematically
+    identical to simulating the full ``2n+1``-qubit circuit (the reference
+    register stays pure and the SWAP test reads
+    ``P(1) = (1 - <psi| rho_A |psi>) / 2``).
+
+    Runs with a noise model or gate-level encoding fold the full circuit.
+    Noise acts on each gate's own qubits and is chosen by gate name and
+    arity, and registers A and B receive the same preparation, so after
+    preparation the state is ``rho_s (x) rho_s (x) |0><0|``.  Everything
+    after that -- encoder, resets, decoder, SWAP test -- is
+    sample-independent.  The fold therefore
+
+    1. prepares every sample's ``n``-qubit ``rho_s`` at once, each RY column
+       of the preparation fused with its noise channel into one
+       superoperator per sample (:meth:`_prepared_densities`);
+    2. pulls the ancilla projector back through the rest of the circuit once
+       per (member, level): the ancilla-|0> block ``M`` of the compiler's
+       cached ``dual_observable`` (:meth:`_level_kernel`);
+    3. contracts ``P(1) = Re sum conj(M)[(b,a),(B,A)] rho_s[b,B] rho_s[a,A]``
+       with one vector-matrix product and one dot per (level, row).
+
+    Every step is per-row arithmetic, so a sample's result does not depend on
+    the other rows of its batch.  ``compile_circuits=False``, or a noise
+    model that fails :meth:`~repro.quantum.noise.NoiseModel.is_gate_local`,
+    runs the per-sample :class:`~repro.quantum.simulator.DensityMatrixSimulator`
+    oracle instead; the second case is counted in
+    ``compiler.stats.fallbacks``.
     """
 
     def __init__(self, shots: Optional[int] = 4096,
@@ -301,10 +331,6 @@ class DensityMatrixEngine(SwapTestEngine):
 
     def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
                  compression_level: int) -> np.ndarray:
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        if self.noise_model is not None or self.gate_level_encoding:
-            return self.p1_batch_circuit_level(amplitudes, ansatz,
-                                               compression_level)
         return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
 
     def p1_levels_batch(self, amplitudes: np.ndarray,
@@ -312,11 +338,19 @@ class DensityMatrixEngine(SwapTestEngine):
                         compression_levels: Sequence[int]) -> np.ndarray:
         levels = _validated_levels(compression_levels, ansatz.num_qubits)
         amplitudes = self._validated_amplitudes(amplitudes, ansatz)
-        if self.noise_model is not None or self.gate_level_encoding:
-            return self.p1_levels_batch_circuit_level(amplitudes, ansatz, levels)
-        return self._apply_shot_noise(
-            self._exact_levels_batch(amplitudes, ansatz, levels)
-        )
+        noise = self.noise_model
+        if noise is None and not self.gate_level_encoding:
+            exact = self._exact_levels_batch(amplitudes, ansatz, levels)
+        elif not self.compile_circuits:
+            exact = self._oracle_levels(amplitudes, ansatz, levels)
+        elif noise is not None and not noise.is_gate_local():
+            self.compiler.record_fallback()
+            exact = self._oracle_levels(amplitudes, ansatz, levels)
+        else:
+            exact = self._folded_levels(amplitudes, ansatz, levels)
+        # One elementwise binomial call over the (levels, samples) array draws
+        # bit-identically to sequential per-level calls.
+        return self._apply_shot_noise(exact)
 
     def _exact_levels_batch(self, amplitudes: np.ndarray,
                             ansatz: RandomAutoencoderAnsatz,
@@ -338,134 +372,129 @@ class DensityMatrixEngine(SwapTestEngine):
             exact_p1[position] = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
         return exact_p1
 
-    def p1_levels_batch_circuit_level(self, amplitudes: np.ndarray,
-                                      ansatz: RandomAutoencoderAnsatz,
-                                      compression_levels: Sequence[int]
-                                      ) -> np.ndarray:
-        """Checkpointed full-circuit sweep (the noisy multi-level hot path).
+    def _folded_levels(self, amplitudes: np.ndarray,
+                       ansatz: RandomAutoencoderAnsatz,
+                       levels: Sequence[int]) -> np.ndarray:
+        """Exact ``(levels, samples)`` probabilities of the folded circuit."""
+        rhos = self._prepared_densities(amplitudes)
+        samples, dim = rhos.shape[0], rhos.shape[1]
+        flat = rhos.reshape(samples, 1, dim * dim)
+        exact_p1 = np.empty((len(levels), samples))
+        for position, level in enumerate(levels):
+            # One vector-matrix product per row (a batched matmul over rows),
+            # so no row's sums depend on how many rows or levels share the
+            # call.
+            pulled = np.matmul(flat, self._level_kernel(ansatz, level))
+            exact_p1[position] = np.real(np.sum(pulled * flat, axis=(1, 2)))
+        return exact_p1
 
-        Every compression level of the sweep shares the same circuit prefix
-        (amplitude encoding of both registers + the encoder ansatz); only the
-        suffix (reset block + decoder + SWAP test) depends on the level.  The
-        walker therefore evolves the batched prefix **exactly once** (with its
-        shared gate runs executing as compiled fused operators) and keeps the
-        post-prefix density batch as a checkpoint.  With compilation on (the
-        default), each level's sample-independent suffix is then lowered once
-        into a cached Heisenberg-picture observable and evaluated as a single
-        batched matmul against the checkpoint; with ``compile_circuits=False``
-        the suffix is replayed forward from a snapshot, gate by gate, exactly
-        as in the pre-compilation implementation.  Either way results agree
-        with looping :meth:`p1_batch_circuit_level` per level, and the
-        shot-noise RNG is consumed in the exact level-major order the
-        historical per-level loop used.
+    def _level_kernel(self, ansatz: RandomAutoencoderAnsatz,
+                      level: int) -> np.ndarray:
+        """The ``(4^n, 4^n)`` contraction kernel of one compression level.
+
+        ``K[(b,B),(a,A)] = conj(M)[(b,a),(B,A)]``, where ``M`` is the
+        ancilla-|0> block of the level's cached Heisenberg-picture observable
+        (``b``/``a`` index registers B/A), so that
+        ``P(1) = Re sum K[(b,B),(a,A)] rho[b,B] rho[a,A]``.
         """
-        levels = _validated_levels(compression_levels, ansatz.num_qubits)
-        amplitudes = self._validated_amplitudes(amplitudes, ansatz)
-        # One elementwise binomial call over the (levels, samples) array draws
-        # bit-identically to the historical sequential per-level calls.
-        return self._apply_shot_noise(
-            self._circuit_level_sweep(amplitudes, ansatz, levels)
-        )
+        num_qubits = ansatz.num_qubits
+        dim = 2 ** num_qubits
+        observable = self.compiler.dual_observable(
+            _level_circuit(ansatz, level), self.noise_model, 2 * num_qubits,
+            self.backend)
+        block = observable[:dim * dim, :dim * dim].reshape(dim, dim, dim, dim)
+        return np.conj(block).transpose(0, 2, 1, 3).reshape(dim * dim,
+                                                             dim * dim)
 
-    def _circuit_level_sweep(self, amplitudes: np.ndarray,
-                             ansatz: RandomAutoencoderAnsatz,
-                             levels: Sequence[int]) -> np.ndarray:
-        """Exact ``(levels, samples)`` probabilities of the checkpointed sweep.
+    def _prepared_densities(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Every sample's (noisy) ``n``-qubit prepared state; ``(samples, d, d)``.
 
-        Shared by the fused multi-level entry point and the single-level
-        ``p1_batch_circuit_level``, so a per-level loop over the latter is
-        arithmetically identical to one fused sweep.  With compilation on, the
-        per-level suffix never runs forward at all: the compiler's cached
-        Heisenberg-picture observable ``W = C^dagger(|1><1|_ancilla)`` turns
-        each level into ONE batched matmul against the checkpoint.
+        ``initialize`` encoding gives the exact ``|psi><psi|``.  Gate-level
+        encoding walks :func:`~repro.encoding.amplitude.preparation_schedule`:
+        each RY column becomes one superoperator per sample (gate and noise
+        fused), and a rotation that a row's circuit leaves out becomes the
+        identity for that row, noise included.  CX steps are shared.  All
+        steps run as per-row batched matmuls.
         """
-        prefixes = [
-            build_autoencoder_prefix(
-                row, ansatz, gate_level_encoding=self.gate_level_encoding,
-            )
-            for row in amplitudes
+        backend = self.backend
+        if not self.gate_level_encoding:
+            return backend.density_from_states(backend.as_states(amplitudes))
+        samples, dim = amplitudes.shape
+        schedule = preparation_schedule(amplitudes)
+        angles = np.stack([column for _, column in schedule
+                           if column is not None], axis=1)
+        # One cos/sin call over the contiguous (samples, rotations) matrix, so
+        # every row takes the same code path whatever the batch size.
+        cosines, sines = np.cos(angles / 2.0), np.sin(angles / 2.0)
+        elided = np.abs(angles) <= ROTATION_TOLERANCE
+        # CX steps are shared: broadcast in the backend dtype, so every row
+        # reads the same contiguous matrix whatever the batch size.
+        cx_steps = [
+            (np.broadcast_to(np.asarray(superop[0], dtype=backend.dtype),
+                             (samples,) + superop.shape[1:]), arity)
+            for superop, arity in self._gate_channel(
+                GATE_MATRICES["cx"][None], "cx")
         ]
-        walker = BatchedDensityMatrixSimulator(
-            noise_model=self.noise_model, backend=self.backend,
-            compiler=self.compiler, compile_programs=self.compile_circuits,
-        )
-        checkpoint = walker.evolve_batch(prefixes)
+        rhos = np.zeros((samples, dim, dim), dtype=backend.dtype)
+        rhos[:, 0, 0] = 1.0
+        column = 0
+        for qubits, rotation in schedule:
+            if rotation is None:
+                for superops, arity in cx_steps:
+                    rhos = backend.apply_superoperators_density_batch(
+                        rhos, superops, qubits[:arity])
+                continue
+            cosine, sine = cosines[:, column], sines[:, column]
+            gates = np.stack([np.stack([cosine, -sine], axis=1),
+                              np.stack([sine, cosine], axis=1)], axis=1)
+            (superops, _), = self._gate_channel(gates, "ry")
+            superops[elided[:, column]] = np.eye(4)
+            rhos = backend.apply_superoperators_density_batch(rhos, superops,
+                                                              qubits)
+            column += 1
+        return rhos
+
+    def _gate_channel(self, gates: np.ndarray, name: str) -> list:
+        """``(superoperators, arity)`` steps of a gate followed by its noise.
+
+        ``gates`` is a ``(batch, 2^k, 2^k)`` stack; each step holds one
+        superoperator per entry and acts on the gate's first ``arity``
+        qubits.  The channel is fused into the gate's superoperator unless it
+        acts on fewer qubits than the gate, in which case it follows as its
+        own step, as in :class:`~repro.quantum.simulator.DensityMatrixSimulator`.
+        """
+        local = gates.shape[-1]
+        arity = local.bit_length() - 1
+        superops = np.einsum("bij,bkl->bikjl", gates, gates.conj()).reshape(
+            gates.shape[0], local * local, local * local)
+        channel = (self.noise_model.superoperator_for(name, arity)
+                   if self.noise_model is not None else None)
+        if channel is None:
+            return [(superops, arity)]
+        if channel.shape == superops.shape[1:]:
+            return [(np.matmul(channel, superops), arity)]
+        channel_arity = (channel.shape[0].bit_length() - 1) // 2
+        return [(superops, arity), (channel[None], channel_arity)]
+
+    def _oracle_levels(self, amplitudes: np.ndarray,
+                       ansatz: RandomAutoencoderAnsatz,
+                       levels: Sequence[int]) -> np.ndarray:
+        """The per-sample reference: one full-circuit
+        :meth:`DensityMatrixSimulator.evolve` per (level, sample)."""
+        simulator = DensityMatrixSimulator(noise_model=self.noise_model,
+                                           backend=self.backend)
         ancilla = 2 * ansatz.num_qubits
         exact_p1 = np.empty((len(levels), amplitudes.shape[0]))
         for position, level in enumerate(levels):
-            suffix = build_autoencoder_suffix(ansatz, level, measure=False)
-            if self.compile_circuits:
-                observable = self.compiler.dual_observable(
-                    suffix, self.noise_model, ancilla, self.backend
+            for index, row in enumerate(amplitudes):
+                circuit = build_autoencoder_circuit(
+                    row, ansatz, level,
+                    gate_level_encoding=self.gate_level_encoding,
+                    measure=False,
                 )
-                exact_p1[position] = (
-                    self.backend.observable_expectation_density_batch(
-                        checkpoint, observable
-                    )
-                )
-                continue
-            rhos = walker.replay_suffix_batch(checkpoint, suffix)
-            exact_p1[position] = self.backend.probability_one_density_batch(
-                rhos, ancilla
-            )
+                exact_p1[position, index] = simulator.evolve(
+                    circuit).probability_of_outcome(ancilla, 1)
         return exact_p1
-
-    def p1_batch_circuit_level(self, amplitudes: np.ndarray,
-                               ansatz: RandomAutoencoderAnsatz,
-                               compression_level: int) -> np.ndarray:
-        """Full-circuit simulation of the whole batch at ONE compression level.
-
-        Every sample's circuit shares the same gate structure -- only the
-        amplitude encoding differs -- so all samples walk one batched circuit
-        through :class:`~repro.quantum.simulator.BatchedDensityMatrixSimulator`
-        instead of looping a per-sample simulator.  Level sweeps do not loop
-        this method: :meth:`p1_levels_batch_circuit_level` checkpoints the
-        shared prefix and replays only the per-level suffix (this per-level
-        walk remains the pre-checkpoint regression reference).
-        """
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        if self.compile_circuits:
-            # Same checkpoint + compiled-observable arithmetic as the fused
-            # sweep, so a per-level loop over this method stays bitwise
-            # identical to one `p1_levels_batch` call.
-            exact_p1 = self._circuit_level_sweep(amplitudes, ansatz,
-                                                 [compression_level])[0]
-            return self._apply_shot_noise(exact_p1)
-        circuits = [
-            build_autoencoder_circuit(
-                row, ansatz, compression_level,
-                gate_level_encoding=self.gate_level_encoding, measure=False,
-            )
-            for row in amplitudes
-        ]
-        walker = BatchedDensityMatrixSimulator(noise_model=self.noise_model,
-                                               backend=self.backend,
-                                               compiler=self.compiler,
-                                               compile_programs=False)
-        rhos = walker.evolve_batch(circuits)
-        ancilla = 2 * ansatz.num_qubits
-        exact_p1 = self.backend.probability_one_density_batch(rhos, ancilla)
-        return self._apply_shot_noise(exact_p1)
-
-    def p1_per_sample_circuit_level(self, amplitudes: np.ndarray,
-                                    ansatz: RandomAutoencoderAnsatz,
-                                    compression_level: int) -> np.ndarray:
-        """Reference per-sample circuit walk (regression baseline for the batched
-        walk; not used on any hot path)."""
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        simulator = DensityMatrixSimulator(noise_model=self.noise_model,
-                                           backend=self.backend)
-        results = np.empty(amplitudes.shape[0])
-        for index, row in enumerate(amplitudes):
-            circuit = build_autoencoder_circuit(
-                row, ansatz, compression_level,
-                gate_level_encoding=self.gate_level_encoding, measure=False,
-            )
-            final_state = simulator.evolve(circuit)
-            ancilla = 2 * ansatz.num_qubits
-            exact_p1 = final_state.probability_of_outcome(ancilla, 1)
-            results[index] = exact_p1
-        return self._apply_shot_noise(results)
 
 
 class StatevectorEngine(SwapTestEngine):
@@ -574,7 +603,7 @@ def make_engine(backend: str, shots: Optional[int],
     / ``statevector``); ``simulation_backend`` selects the *numerical kernel
     implementation* those engines run on (see :mod:`repro.quantum.backend`);
     ``compile_circuits`` selects between compiled-program execution (default)
-    and the gate-by-gate interpreted reference paths; ``compiler`` overrides
+    and the per-sample reference simulator; ``compiler`` overrides
     the process-wide shared compiled-program cache (the online scorer passes a
     private instance in tests so cache counters can be asserted in isolation).
     """

@@ -5,6 +5,7 @@ from repro.encoding.amplitude import (
     AmplitudeEncoder,
     amplitude_probabilities,
     amplitudes_from_features,
+    preparation_schedule,
     state_preparation_circuit,
 )
 
@@ -14,5 +15,6 @@ __all__ = [
     "AmplitudeEncoder",
     "amplitude_probabilities",
     "amplitudes_from_features",
+    "preparation_schedule",
     "state_preparation_circuit",
 ]

@@ -7,9 +7,10 @@ probabilities are the amplitudes of the encoded quantum state.
 
 Two encoding routes are provided:
 
-* :func:`state_preparation_circuit` synthesizes an explicit gate-level circuit
-  (multiplexed RY rotations + CX) preparing the state -- this is what the paper's
-  "amplitude embedding" compiles to and what the noisy simulations consume.
+* :func:`preparation_schedule` decomposes a whole batch of states into
+  multiplexed RY rotations + CX gates at once -- this is what the paper's
+  "amplitude embedding" compiles to and what the noisy simulations consume;
+  :func:`state_preparation_circuit` emits its one-row case as a circuit.
 * ``QuantumCircuit.initialize`` consumes the amplitudes directly; the simulators
   treat it as an exact state preparation (faster, used for noiseless sweeps).
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +28,20 @@ from repro.quantum.circuit import QuantumCircuit
 __all__ = [
     "amplitude_probabilities",
     "amplitudes_from_features",
+    "preparation_schedule",
     "state_preparation_circuit",
+    "ROTATION_TOLERANCE",
     "AmplitudeEncoder",
 ]
 
 _TOLERANCE = 1e-9
+
+#: Rotations by at most this angle are left out of a preparation circuit.
+ROTATION_TOLERANCE = _TOLERANCE
+
+#: One step of a batched state preparation: ``((target,), angles)`` for an RY
+#: with one angle per row, ``((control, target), None)`` for a CX.
+PreparationStep = Tuple[Tuple[int, ...], Optional[np.ndarray]]
 
 
 def amplitude_probabilities(features: Sequence[float], num_qubits: int) -> np.ndarray:
@@ -76,85 +86,101 @@ def amplitudes_from_features(features: Sequence[float], num_qubits: int) -> np.n
     return np.sqrt(amplitude_probabilities(features, num_qubits))
 
 
-def _conditional_angles(amplitudes: np.ndarray, target_qubit: int,
-                        num_qubits: int) -> List[float]:
-    """RY angles of the multiplexor acting on ``target_qubit``.
+def _validated_register_size(amplitudes: np.ndarray) -> int:
+    """Check a ``(samples, 2**n)`` batch of non-negative normalized rows and
+    return ``n``."""
+    if amplitudes.ndim != 2:
+        raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
+    if np.any(amplitudes < -_TOLERANCE):
+        raise ValueError("state preparation supports non-negative amplitudes only")
+    size = amplitudes.shape[1]
+    num_qubits = int(round(math.log2(size))) if size else 0
+    if size == 0 or 2 ** num_qubits != size:
+        raise ValueError(f"amplitude vector length {size} is not a power of two")
+    norms = np.sqrt(np.einsum("si,si->s", amplitudes, amplitudes))
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        raise ValueError("amplitudes must be normalized")
+    return num_qubits
 
-    The multiplexor is controlled by all more-significant qubits
-    (``target_qubit + 1 .. num_qubits - 1``); entry ``m`` of the returned list is
-    the angle used when those controls read the little-endian pattern ``m``.
+
+def _multiplexed_ry_schedule(schedule: List[PreparationStep],
+                             angles: np.ndarray, controls: Sequence[int],
+                             target: int) -> None:
+    """Recursively decompose a uniformly controlled RY into RY and CX steps.
+
+    ``angles`` is ``(samples, 2**len(controls))``; column ``m`` is the angle
+    used when the controls read the little-endian pattern ``m``.
     """
-    probabilities = amplitudes ** 2
-    num_controls = num_qubits - 1 - target_qubit
-    angles: List[float] = []
-    for pattern in range(2 ** num_controls):
-        prob_zero = 0.0
-        prob_one = 0.0
-        for index, probability in enumerate(probabilities):
-            high_bits = index >> (target_qubit + 1)
-            if high_bits != pattern:
-                continue
-            if (index >> target_qubit) & 1:
-                prob_one += probability
-            else:
-                prob_zero += probability
-        if prob_zero + prob_one < _TOLERANCE:
-            angles.append(0.0)
-            continue
-        angles.append(2.0 * math.atan2(math.sqrt(prob_one), math.sqrt(prob_zero)))
-    return angles
-
-
-def _apply_multiplexed_ry(circuit: QuantumCircuit, angles: Sequence[float],
-                          controls: Sequence[int], target: int) -> None:
-    """Recursively decompose a uniformly controlled RY into RY and CX gates."""
-    if len(angles) != 2 ** len(controls):
-        raise ValueError("angle count must be 2**len(controls)")
     if not controls:
-        if abs(angles[0]) > _TOLERANCE:
-            circuit.ry(angles[0], target)
+        schedule.append(((target,), np.ascontiguousarray(angles[:, 0])))
         return
-    half = len(angles) // 2
-    low = list(angles[:half])   # most-significant control = 0
-    high = list(angles[half:])  # most-significant control = 1
-    first = [(a + b) / 2.0 for a, b in zip(low, high)]
-    second = [(a - b) / 2.0 for a, b in zip(low, high)]
+    half = angles.shape[1] // 2
+    low = angles[:, :half]   # most-significant control = 0
+    high = angles[:, half:]  # most-significant control = 1
     last_control = controls[-1]
-    _apply_multiplexed_ry(circuit, first, controls[:-1], target)
-    circuit.cx(last_control, target)
-    _apply_multiplexed_ry(circuit, second, controls[:-1], target)
-    circuit.cx(last_control, target)
+    _multiplexed_ry_schedule(schedule, (low + high) / 2.0, controls[:-1], target)
+    schedule.append(((last_control, target), None))
+    _multiplexed_ry_schedule(schedule, (low - high) / 2.0, controls[:-1], target)
+    schedule.append(((last_control, target), None))
+
+
+def preparation_schedule(amplitudes: np.ndarray) -> List[PreparationStep]:
+    """The Mottonen state preparation of every row of ``amplitudes`` at once.
+
+    This is the one definition of the decomposition: an RY rotation on the
+    most significant qubit followed by multiplexed RY rotations working down
+    to qubit 0, each multiplexor split recursively into RY and CX gates.
+    Every row shares the gate sequence; only the angles differ.
+
+    Returns the sequence of steps ``(qubits, angles)``: an RY on
+    ``qubits = (target,)`` carries its ``(samples,)`` angles, and a CX on
+    ``qubits = (control, target)`` carries ``None``.  A rotation whose angle
+    is at most ``1e-9`` in magnitude is not part of that row's circuit
+    (:func:`state_preparation_circuit` leaves it out).  Every row's angles
+    come from elementwise arithmetic on that row alone.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    num_qubits = _validated_register_size(amplitudes)
+    # masses[:, m] is the probability that qubits t.. read the pattern m;
+    # pairing its even/odd entries splits on qubit t under the controls above.
+    masses = amplitudes ** 2
+    conditional = []
+    for _ in range(num_qubits):
+        pairs = masses.reshape(masses.shape[0], -1, 2)
+        zero, one = pairs[:, :, 0], pairs[:, :, 1]
+        masses = zero + one
+        angles = 2.0 * np.arctan2(np.sqrt(one), np.sqrt(zero))
+        conditional.append(np.where(masses < _TOLERANCE, 0.0, angles))
+    schedule: List[PreparationStep] = []
+    for target in reversed(range(num_qubits)):
+        _multiplexed_ry_schedule(schedule, conditional[target],
+                                 list(range(target + 1, num_qubits)), target)
+    return schedule
 
 
 def state_preparation_circuit(amplitudes: Sequence[float],
                               num_qubits: int = None) -> QuantumCircuit:
     """Gate-level preparation of a state with non-negative real amplitudes.
 
-    Uses the Mottonen-style scheme: an RY rotation on the most significant qubit
-    followed by multiplexed RY rotations working down to qubit 0.  Only
-    non-negative real amplitudes are supported (which is all Quorum needs, since
-    its amplitudes are square roots of probabilities).
+    The one-row case of :func:`preparation_schedule` (Mottonen-style RY and CX
+    gates).  Only non-negative real amplitudes are supported (which is all
+    Quorum needs, since its amplitudes are square roots of probabilities).
+    Rotations by at most ``1e-9`` are left out.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).ravel()
-    if np.any(amplitudes < -_TOLERANCE):
-        raise ValueError("state preparation supports non-negative amplitudes only")
-    size = amplitudes.shape[0]
-    inferred = int(round(math.log2(size)))
-    if 2 ** inferred != size:
-        raise ValueError(f"amplitude vector length {size} is not a power of two")
+    schedule = preparation_schedule(amplitudes[None, :])
+    inferred = int(round(math.log2(amplitudes.shape[0])))
     if num_qubits is None:
         num_qubits = inferred
     elif num_qubits != inferred:
         raise ValueError("num_qubits inconsistent with the amplitude vector")
-    norm = np.linalg.norm(amplitudes)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("amplitudes must be normalized")
     circuit = QuantumCircuit(num_qubits, 0 if num_qubits == 0 else num_qubits,
                              name="state_prep")
-    for target in reversed(range(num_qubits)):
-        controls = list(range(target + 1, num_qubits))
-        angles = _conditional_angles(amplitudes, target, num_qubits)
-        _apply_multiplexed_ry(circuit, angles, controls, target)
+    for qubits, angles in schedule:
+        if angles is None:
+            circuit.cx(*qubits)
+        elif abs(angles[0]) > ROTATION_TOLERANCE:
+            circuit.ry(float(angles[0]), qubits[0])
     return circuit
 
 

@@ -61,9 +61,9 @@ class ExperimentSettings:
         ``QUORUM_N_JOBS`` environment variable so the benchmark harness can
         set it without editing every experiment module.
     compile_circuits:
-        Execute compiled operator programs (default) or the gate-by-gate
-        interpreted reference paths; defaults to the ``QUORUM_COMPILE``
-        environment variable (set it to ``0`` to interpret).
+        Execute compiled observables (default) or the per-sample reference
+        simulator; defaults to the ``QUORUM_COMPILE`` environment variable
+        (set it to ``0`` for the reference).
     """
 
     ensemble_groups: int = 60

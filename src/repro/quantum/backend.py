@@ -61,10 +61,6 @@ class SimulationBackend(ABC):
 
     # ------------------------------------------------------------ statevectors
     @abstractmethod
-    def zero_states(self, batch_size: int, num_qubits: int) -> np.ndarray:
-        """A ``(batch_size, 2**num_qubits)`` batch of |0...0> states."""
-
-    @abstractmethod
     def as_states(self, amplitudes: np.ndarray) -> np.ndarray:
         """Cast a ``(batch, 2**n)`` amplitude array to the backend dtype."""
 
@@ -128,18 +124,6 @@ class SimulationBackend(ABC):
         """Row-wise ``<psi_i| rho_i |psi_i>`` (real part); shape ``(batch,)``."""
 
     @abstractmethod
-    def apply_gates_density_batch(self, rhos: np.ndarray, gates: np.ndarray,
-                                  qubits: Sequence[int]) -> np.ndarray:
-        """Conjugate every density matrix by its *own* local gate.
-
-        ``gates`` has shape ``(batch, 2^k, 2^k)``: row ``i`` of the batch is
-        conjugated by ``gates[i]``.  This is the per-sample variant of
-        :meth:`apply_gate_density_batch`, needed when structurally identical
-        circuits carry sample-dependent parameters (e.g. gate-level amplitude
-        encoding, where the state-preparation angles differ per sample).
-        """
-
-    @abstractmethod
     def apply_superoperator_density_batch(self, rhos: np.ndarray,
                                           superoperator: np.ndarray,
                                           qubits: Sequence[int]) -> np.ndarray:
@@ -159,86 +143,11 @@ class SimulationBackend(ABC):
         """Apply one local channel *per batch entry* (superoperator form).
 
         ``superoperators`` has shape ``(batch, d^2, d^2)``: channel ``i`` acts on
-        density matrix ``i``.  Used by the batched circuit walker to fuse a
-        sample-dependent gate with its (shared) noise channel into a single
-        contraction over the batch.
+        density matrix ``i`` (a broadcast view of one shared channel is fine).
+        The folded density-matrix engine prepares every sample's state with
+        it, each per-sample rotation fused with its noise channel.  Entry
+        ``i``'s arithmetic must not depend on the rest of the batch.
         """
-
-    @abstractmethod
-    def probability_one_density_batch(self, rhos: np.ndarray,
-                                      qubit: int) -> np.ndarray:
-        """P(measuring ``qubit`` = 1) from each density matrix; ``(batch,)``."""
-
-    def copy_density_batch(self, rhos: np.ndarray) -> np.ndarray:
-        """Snapshot a density batch into fresh backend-owned storage.
-
-        Checkpoint support for the level-sweep walker: the post-prefix density
-        batch is snapshotted once and every compression level replays from its
-        own copy, so no replay can alias (or mutate) the checkpoint.  The
-        default is a dtype-normalizing host copy; array-library backends whose
-        buffers live off-host should override this with a device-side copy.
-        """
-        rhos = np.asarray(rhos, dtype=self.dtype)
-        if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
-            raise ValueError("a density batch must be (batch, d, d)")
-        return rhos.copy()
-
-    # ------------------------------------------------------ compiled programs
-    def apply_compiled_superoperator_batch(self, rhos: np.ndarray,
-                                           operators) -> np.ndarray:
-        """Run a compiled channel program over a density batch.
-
-        ``operators`` is a :class:`repro.quantum.compiler.CompiledProgram` (or
-        any iterable of its fused operators).  ``"unitary"`` blocks are applied
-        by conjugation (:meth:`apply_gate_density_batch`, a factor ``2^k``
-        cheaper than a superoperator pass), ``"superoperator"`` blocks through
-        :meth:`apply_superoperator_density_batch`.  This is a default
-        chaining implementation meant to be inherited (and overridable as one
-        fused on-device kernel).
-        """
-        for operator in getattr(operators, "operators", operators):
-            if operator.kind == "unitary":
-                rhos = self.apply_gate_density_batch(rhos, operator.matrix,
-                                                     operator.qubits)
-            else:
-                rhos = self.apply_superoperator_density_batch(
-                    rhos, operator.matrix, operator.qubits)
-        return rhos
-
-    def observable_expectation_density_batch(self, rhos: np.ndarray,
-                                             observable: np.ndarray
-                                             ) -> np.ndarray:
-        """Row-wise Hilbert-Schmidt expectation ``Re <O, rho_b>``; ``(batch,)``.
-
-        ``<O, rho> = Tr(O^dagger rho) = vec(O)^dagger vec(rho)``: one batched
-        matmul of the flattened density batch against a dense observable --
-        the execution form of the compiler's Heisenberg-picture suffix replay
-        (the observable being ``C^dagger(M)`` for a compiled channel ``C`` and
-        projector ``M``).
-        """
-        rhos = np.asarray(rhos, dtype=self.dtype)
-        observable = np.asarray(observable, dtype=self.dtype)
-        if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
-            raise ValueError("a density batch must be (batch, d, d)")
-        if observable.shape != rhos.shape[1:]:
-            raise ValueError("observable shape does not match the density batch")
-        flat = rhos.reshape(rhos.shape[0], -1)
-        return np.real(flat @ observable.conj().reshape(-1))
-
-    def reset_qubit_density_batch(self, rhos: np.ndarray,
-                                  qubit: int) -> np.ndarray:
-        """Non-selectively reset one qubit of every density matrix to |0>.
-
-        Default implementation routes through
-        :meth:`apply_superoperator_density_batch` with the reset channel's
-        superoperator (Kraus operators ``|0><0|`` and ``|0><1|``); backends can
-        override with a direct partial-trace kernel.
-        """
-        zero_zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=self.dtype)
-        zero_one = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=self.dtype)
-        superop = (np.kron(zero_zero, zero_zero.conj())
-                   + np.kron(zero_one, zero_one.conj()))
-        return self.apply_superoperator_density_batch(rhos, superop, [qubit])
 
     def apply_unitary_stack(self, states: np.ndarray,
                             unitaries: np.ndarray) -> np.ndarray:
@@ -308,21 +217,12 @@ class SimulationBackend(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-
-
 class NumpyBackend(SimulationBackend):
     """Reference implementation: one ``np.einsum`` contraction per primitive."""
 
     name = "numpy"
 
     # ------------------------------------------------------------ statevectors
-    def zero_states(self, batch_size: int, num_qubits: int) -> np.ndarray:
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        states = np.zeros((batch_size, 2 ** num_qubits), dtype=self.dtype)
-        states[:, 0] = 1.0
-        return states
-
     def as_states(self, amplitudes: np.ndarray) -> np.ndarray:
         states = np.asarray(amplitudes, dtype=self.dtype)
         if states.ndim != 2:
@@ -500,39 +400,6 @@ class NumpyBackend(SimulationBackend):
         out = out.reshape(lead_shape + (2,) * k)
         return np.moveaxis(out, range(ndim - k, ndim), target_axes)
 
-    def _apply_gates_to_axes(self, tensor: np.ndarray, gates: np.ndarray,
-                             qubits: Sequence[int], num_qubits: int,
-                             axis_offset: int) -> np.ndarray:
-        """Per-batch-entry gate application on one axes block of ``tensor``.
-
-        Same index conventions as
-        :func:`repro.quantum.statevector.apply_unitary_to_tensor` (the gate's
-        row/column index treats the first listed qubit as the least-significant
-        bit), but contracting ``gates[b]`` with batch entry ``b``.
-        """
-        state_axes = [axis_offset + num_qubits - 1 - q for q in reversed(qubits)]
-        return self._apply_matrices_to_axes(tensor, gates, state_axes)
-
-    def apply_gates_density_batch(self, rhos: np.ndarray, gates: np.ndarray,
-                                  qubits: Sequence[int]) -> np.ndarray:
-        rhos, num_qubits = self._validated_density_batch(rhos)
-        batch, dim = rhos.shape[0], rhos.shape[1]
-        qubits = list(qubits)
-        k = len(qubits)
-        gates = np.asarray(gates, dtype=self.dtype)
-        if gates.shape != (batch, 2 ** k, 2 ** k):
-            raise ValueError(
-                f"per-sample gates must have shape (batch, 2^k, 2^k); got "
-                f"{gates.shape} for {k} target qubits and batch {batch}"
-            )
-        tensor = rhos.reshape((batch,) + (2,) * (2 * num_qubits))
-        tensor = self._apply_gates_to_axes(tensor, gates, qubits, num_qubits,
-                                           axis_offset=1)
-        tensor = self._apply_gates_to_axes(tensor, np.conj(gates), qubits,
-                                           num_qubits,
-                                           axis_offset=1 + num_qubits)
-        return np.ascontiguousarray(tensor).reshape(batch, dim, dim)
-
     def apply_superoperator_density_batch(self, rhos: np.ndarray,
                                           superoperator: np.ndarray,
                                           qubits: Sequence[int]) -> np.ndarray:
@@ -582,32 +449,6 @@ class NumpyBackend(SimulationBackend):
                                               row_axes + col_axes)
         return np.ascontiguousarray(tensor).reshape(batch, dim, dim)
 
-    def reset_qubit_density_batch(self, rhos: np.ndarray,
-                                  qubit: int) -> np.ndarray:
-        rhos, num_qubits = self._validated_density_batch(rhos)
-        if not 0 <= qubit < num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        batch, dim = rhos.shape[0], rhos.shape[1]
-        low = 2 ** qubit
-        high = dim // (2 * low)
-        blocks = rhos.reshape(batch, high, 2, low, high, 2, low)
-        result = np.zeros_like(blocks)
-        # Partial trace over the reset qubit, re-embedded in its |0> subspace.
-        result[:, :, 0, :, :, 0, :] = (blocks[:, :, 0, :, :, 0, :]
-                                       + blocks[:, :, 1, :, :, 1, :])
-        return result.reshape(batch, dim, dim)
-
-    def probability_one_density_batch(self, rhos: np.ndarray,
-                                      qubit: int) -> np.ndarray:
-        rhos, num_qubits = self._validated_density_batch(rhos)
-        if not 0 <= qubit < num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        batch, dim = rhos.shape[0], rhos.shape[1]
-        low = 2 ** qubit
-        diagonal = np.real(np.einsum("bii->bi", rhos))
-        blocks = diagonal.reshape(batch, dim // (2 * low), 2, low)
-        return np.sum(blocks[:, :, 1, :], axis=(1, 2))
-
 
 class NumpyFloat32Backend(NumpyBackend):
     """Single-precision variant of the reference backend.
@@ -633,16 +474,6 @@ class NumpyFloat32Backend(NumpyBackend):
     def expectation_batch(self, rhos: np.ndarray,
                           states: np.ndarray) -> np.ndarray:
         return super().expectation_batch(rhos, states).astype(np.float64)
-
-    def probability_one_density_batch(self, rhos: np.ndarray,
-                                      qubit: int) -> np.ndarray:
-        return super().probability_one_density_batch(rhos, qubit).astype(np.float64)
-
-    def observable_expectation_density_batch(self, rhos: np.ndarray,
-                                             observable: np.ndarray
-                                             ) -> np.ndarray:
-        return super().observable_expectation_density_batch(
-            rhos, observable).astype(np.float64)
 
 
 _REGISTRY: Dict[str, Callable[[], SimulationBackend]] = {}

@@ -10,36 +10,31 @@ an optional :class:`~repro.quantum.noise.NoiseModel`) into a compiled program
 of a few precomposed dense operators that the engines replay with a handful of
 batched matmuls.
 
-Three lowerings are provided:
+Two lowerings are provided:
 
 * :meth:`CircuitCompiler.unitary_program` / :meth:`CircuitCompiler.fused_unitary`
   -- pure-state compilation.  Contiguous runs of unitary gates are fused into
   one dense ``2^k x 2^k`` unitary per support block (for the Quorum encoder:
   ONE ``2^n x 2^n`` matrix per member, applied as a single batched matmul).
-* :meth:`CircuitCompiler.channel_program` -- mixed-state compilation.  Every
-  gate is composed with its noise channel into one superoperator, resets
-  become reset channels, and contiguous channel runs are fused into dense
-  support-block superoperators (capped at ``max_superop_qubits`` so the fused
-  matrices stay cache-sized).  Circuits narrow enough to fit under the cap
-  compile to ONE ``4^n x 4^n`` superoperator.
 * :meth:`CircuitCompiler.dual_observable` -- Heisenberg-picture compilation of
-  a channel followed by a single-qubit readout.  The ancilla projector ``M`` is
-  pulled back through the channel's adjoint once, yielding a dense observable
-  ``W = C^dagger(M)`` with ``P(1) = <W, rho> = Tr(W^dagger rho)`` -- the whole
-  sample-independent suffix collapses to ONE batched matmul against a density
-  checkpoint (see
-  :meth:`~repro.quantum.backend.SimulationBackend.observable_expectation_density_batch`).
+  a noisy channel followed by a single-qubit readout.  Every gate is composed
+  with its noise channel and every reset becomes the reset channel; the
+  ancilla projector ``M`` is pulled back through the channel's adjoint once,
+  yielding a dense observable ``W = C^dagger(M)`` with
+  ``P(1) = <W, rho> = Tr(W^dagger rho)``.  The folded density-matrix engine
+  (:class:`repro.core.execution.DensityMatrixEngine`) compiles one per
+  (member, compression level) and contracts it against every sample.
 
 Compiled artifacts live in a thread-safe LRU cache keyed by (program kind,
 circuit signature, noise-model fingerprint, backend dtype), so sweeping the
 same member across compression levels, ensemble repetitions, or benchmark
 rounds never recompiles.  :data:`default_compiler` returns the process-wide
-shared instance; `QuorumCircuitFactory`, the execution engines, and the
-batched simulator all share it unless given their own.
+shared instance; `QuorumCircuitFactory` and the execution engines share it
+unless given their own.
 
-The gate-by-gate interpreters remain in place as the reference path (select
-them with ``compile_circuits=False`` / ``compile_programs=False``); the parity
-test suite asserts compiled and interpreted results agree to ``<= 1e-10``.
+The per-sample :class:`~repro.quantum.simulator.DensityMatrixSimulator`
+remains the reference path (select it with ``compile_circuits=False``); the
+parity test suite asserts the folded engine agrees with it to ``<= 1e-12``.
 """
 
 from __future__ import annotations
@@ -66,14 +61,9 @@ __all__ = [
     "default_compiler",
 ]
 
-#: ``FusedOperator.kind`` values.
-UNITARY = "unitary"
-SUPEROPERATOR = "superoperator"
-
-
 @dataclass(frozen=True, eq=False)
 class FusedOperator:
-    """One precomposed dense operator of a compiled program.
+    """One precomposed dense unitary of a compiled program.
 
     Compared by identity (``eq=False``): a generated ``__eq__`` over the
     ndarray field would raise on truth-value ambiguity, and programs are
@@ -81,19 +71,14 @@ class FusedOperator:
 
     Attributes
     ----------
-    kind:
-        ``"unitary"`` (a ``2^k x 2^k`` matrix applied by conjugation /
-        state-vector matmul) or ``"superoperator"`` (a ``4^k x 4^k`` channel in
-        the row-major vec convention of
-        :func:`repro.quantum.density_matrix.kraus_to_superoperator`).
     matrix:
-        The dense operator, read-only, in the compiling backend's dtype.
+        The dense ``2^k x 2^k`` unitary, read-only, in the compiling backend's
+        dtype.
     qubits:
         Ascending global support qubits; the first listed qubit is the
         least-significant index of ``matrix``, matching the backend kernels.
     """
 
-    kind: str
     matrix: np.ndarray
     qubits: Tuple[int, ...]
 
@@ -118,12 +103,16 @@ class CompilerStats:
 
     ``compiles`` counts actual lowerings; ``hits``/``misses`` count cache
     lookups.  A repeated compile of the same (circuit, noise model, dtype)
-    must increment ``hits`` and leave ``compiles`` unchanged.
+    must increment ``hits`` and leave ``compiles`` unchanged.  ``fallbacks``
+    counts engine calls that could not use compiled programs and ran the
+    per-sample reference simulator instead (a noise model that is not
+    gate-local).
     """
 
     compiles: int = 0
     hits: int = 0
     misses: int = 0
+    fallbacks: int = 0
 
 
 def circuit_signature(circuit: QuantumCircuit) -> Tuple:
@@ -166,7 +155,7 @@ def _reset_superoperator(dtype: np.dtype) -> np.ndarray:
 
 @dataclass
 class _ChannelOp:
-    """One pre-fusion channel step: a unitary or a superoperator on ``qubits``."""
+    """One channel step: a unitary or a superoperator on ``qubits``."""
 
     matrix: np.ndarray
     qubits: Tuple[int, ...]
@@ -181,15 +170,10 @@ class CircuitCompiler:
     max_entries:
         LRU capacity; one entry is one compiled program / fused matrix.
     max_bytes:
-        LRU capacity in payload bytes (fused superoperators grow quartically
-        with support size, so a count bound alone could pin gigabytes; the
-        byte bound evicts least-recently-used programs first, like the count
+        LRU capacity in payload bytes (dense observables grow quartically with
+        the register, so a count bound alone could pin gigabytes; the byte
+        bound evicts least-recently-used programs first, like the count
         bound).
-    max_superop_qubits:
-        Support-size cap for fused *superoperators* (``4^k x 4^k`` grows
-        quartically, so channel fusion is split into blocks of at most this
-        many qubits; unitary fusion is uncapped because ``2^k x 2^k`` stays
-        tiny for every register this project simulates).
     optimize:
         Run the transpiler's peephole passes (trivial-gate pruning, rotation
         merging, self-inverse cancellation) over unitary runs before fusing.
@@ -202,17 +186,13 @@ class CircuitCompiler:
 
     def __init__(self, max_entries: int = 256,
                  max_bytes: int = 256 * 1024 * 1024,
-                 max_superop_qubits: int = 5,
                  optimize: bool = False) -> None:
         if max_entries < 1:
             raise ValueError("the compiled-program cache needs at least one entry")
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
-        if max_superop_qubits < 1:
-            raise ValueError("max_superop_qubits must be positive")
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self.max_superop_qubits = int(max_superop_qubits)
         self.optimize = bool(optimize)
         self.stats = CompilerStats()
         self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
@@ -248,6 +228,11 @@ class CircuitCompiler:
                 self._cached_bytes -= self._payload_bytes(evicted)
         return value
 
+    def record_fallback(self) -> None:
+        """Count one engine call that bypassed compilation (``stats.fallbacks``)."""
+        with self._lock:
+            self.stats.fallbacks += 1
+
     def cache_size(self) -> int:
         """Number of compiled artifacts currently cached."""
         with self._lock:
@@ -269,7 +254,6 @@ class CircuitCompiler:
     def __getstate__(self) -> dict:
         return {"max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
-                "max_superop_qubits": self.max_superop_qubits,
                 "optimize": self.optimize}
 
     def __setstate__(self, state: dict) -> None:
@@ -325,28 +309,6 @@ class CircuitCompiler:
 
         return self._get_or_compile(key, build)
 
-    def channel_program(self, circuit: QuantumCircuit,
-                        noise_model: Optional[NoiseModel] = None,
-                        backend: Union[str, SimulationBackend, None] = None
-                        ) -> CompiledProgram:
-        """Compile a sample-independent circuit into fused channel blocks.
-
-        Every unitary gate is composed with its noise channel (looked up once
-        per (gate name, qubit count) through the noise model's superoperator
-        cache) and every ``reset`` becomes the reset channel; contiguous
-        channel steps are fused into dense superoperators on support blocks of
-        at most ``max_superop_qubits`` qubits.  Runs that carry no channel at
-        all (noiseless gates) fuse into plain unitaries instead, which the
-        executor applies by (much cheaper) conjugation.  ``initialize`` is
-        rejected -- encoding is sample-dependent and belongs to the prefix.
-        """
-        backend = get_simulation_backend(backend)
-        key = ("channel_program", str(backend.dtype), self.max_superop_qubits,
-               circuit_signature(circuit), noise_model_fingerprint(noise_model))
-        return self._get_or_compile(
-            key,
-            lambda: self._build_channel_program(circuit, noise_model, backend))
-
     def dual_observable(self, circuit: QuantumCircuit,
                         noise_model: Optional[NoiseModel],
                         qubit: int,
@@ -357,20 +319,15 @@ class CircuitCompiler:
         Returns the dense matrix ``W = C^dagger(|1><1|_qubit)`` such that the
         probability of measuring ``qubit`` as 1 *after* running ``circuit``
         (with ``noise_model``) from state ``rho`` is ``Re Tr(W^dagger rho)``.
-        The adjoint channel is applied to the projector *streamed* step by
-        step through the per-instruction channel adjoints (each a one- or
-        two-qubit kernel), never materializing the fused forward
-        superoperator blocks: a wide noisy suffix's blocks are ``4^k x 4^k``
-        (tens of MB each), so building them once per (member, level) used to
-        thrash the byte-bounded LRU at ensemble scale, while the observable
-        itself is only ``4^n`` complex entries.  One compile replaces a whole
-        batched forward replay with a single matmul per batch.
+        The adjoint channel is applied to the projector step by step through
+        the per-instruction channel adjoints (each a one- to three-qubit
+        kernel), so no forward superoperator of the whole circuit is ever
+        built: the observable itself is only ``4^n`` complex entries.
         """
         backend = get_simulation_backend(backend)
         if not 0 <= qubit < circuit.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
-        key = ("dual_observable", str(backend.dtype), self.max_superop_qubits,
-               int(qubit), circuit_signature(circuit),
+        key = ("dual_observable", str(backend.dtype), int(qubit), circuit_signature(circuit),
                noise_model_fingerprint(noise_model))
 
         def build() -> np.ndarray:
@@ -407,7 +364,7 @@ class CircuitCompiler:
             if not instruction.is_unitary:
                 raise ValueError(
                     "unitary programs cannot contain "
-                    f"'{instruction.name}'; use channel_program for circuits "
+                    f"'{instruction.name}'; use dual_observable for circuits "
                     "with reset, or keep initialize in the per-sample prefix"
                 )
             instructions.append(instruction)
@@ -434,18 +391,14 @@ class CircuitCompiler:
         ]
         matrix = backend.unitary_from_instructions(remapped, len(support))
         matrix.setflags(write=False)
-        return FusedOperator(kind=UNITARY, matrix=matrix,
+        return FusedOperator(matrix=matrix,
                              qubits=tuple(int(q) for q in support))
 
     def _channel_steps(self, circuit: QuantumCircuit,
                        noise_model: Optional[NoiseModel],
                        backend: SimulationBackend) -> List[_ChannelOp]:
-        """Per-instruction channel steps (gate composed with its noise).
-
-        The pre-fusion step stream shared by :meth:`channel_program` (which
-        fuses runs into dense support blocks) and :meth:`dual_observable`
-        (which streams a projector through the step adjoints directly).
-        """
+        """Per-instruction channel steps (gate composed with its noise), the
+        stream :meth:`dual_observable` pulls a projector back through."""
         steps: List[_ChannelOp] = []
         for instruction in circuit.instructions:
             name = instruction.name
@@ -453,7 +406,7 @@ class CircuitCompiler:
                 continue
             if name == "initialize":
                 raise ValueError(
-                    "channel programs cannot contain initialize; compile only "
+                    "dual observables cannot contain initialize; compile only "
                     "the sample-independent part of the circuit"
                 )
             if name == "reset":
@@ -468,7 +421,7 @@ class CircuitCompiler:
                 steps.append(_ChannelOp(gate, instruction.qubits, False))
             elif error.num_qubits != len(instruction.qubits):
                 # Channel acts on a sub-block of the gate's qubits: keep the
-                # two steps separate, fusion will combine them anyway.
+                # two steps separate.
                 steps.append(_ChannelOp(gate, instruction.qubits, False))
                 steps.append(_ChannelOp(
                     np.asarray(error.superoperator, dtype=backend.dtype),
@@ -479,65 +432,8 @@ class CircuitCompiler:
                 steps.append(_ChannelOp(superop, instruction.qubits, True))
         return steps
 
-    def _build_channel_program(self, circuit: QuantumCircuit,
-                               noise_model: Optional[NoiseModel],
-                               backend: SimulationBackend) -> CompiledProgram:
-        steps = self._channel_steps(circuit, noise_model, backend)
-        operators: List[FusedOperator] = []
-        run: List[_ChannelOp] = []
-        support: set = set()
-        for step in steps:
-            candidate = support | set(step.qubits)
-            if run and len(candidate) > self.max_superop_qubits:
-                operators.append(self._fused_channel_block(run, sorted(support),
-                                                           backend))
-                run, support = [], set()
-                candidate = set(step.qubits)
-            run.append(step)
-            support = candidate
-        if run:
-            operators.append(self._fused_channel_block(run, sorted(support),
-                                                       backend))
-        return CompiledProgram(num_qubits=circuit.num_qubits,
-                               operators=tuple(operators))
 
-    def _fused_channel_block(self, run: Sequence[_ChannelOp],
-                             support: Sequence[int],
-                             backend: SimulationBackend) -> FusedOperator:
-        """Fuse one channel run into a dense operator on its support block.
-
-        A run with no superoperator step fuses to a plain unitary (applied by
-        conjugation, which costs a factor ``2^k`` less than a superoperator
-        pass).  Otherwise the run's superoperator is built by pushing the
-        ``4^k`` basis matrices ``E_rc`` through every step with the ordinary
-        backend kernels: column ``m`` of the fused matrix is ``vec(C(E_m))``.
-        """
-        rank = {qubit: position for position, qubit in enumerate(support)}
-        if not any(step.is_superoperator for step in run):
-            remapped = [(step.matrix, tuple(rank[q] for q in step.qubits))
-                        for step in run]
-            matrix = backend.unitary_from_instructions(remapped, len(support))
-            matrix.setflags(write=False)
-            return FusedOperator(kind=UNITARY, matrix=matrix,
-                                 qubits=tuple(int(q) for q in support))
-        dim = 2 ** len(support)
-        basis = np.eye(dim * dim, dtype=backend.dtype).reshape(dim * dim, dim,
-                                                               dim)
-        for step in run:
-            local = tuple(rank[q] for q in step.qubits)
-            if step.is_superoperator:
-                basis = backend.apply_superoperator_density_batch(
-                    basis, step.matrix, local)
-            else:
-                basis = backend.apply_gate_density_batch(basis, step.matrix,
-                                                         local)
-        matrix = np.ascontiguousarray(basis.reshape(dim * dim, dim * dim).T)
-        matrix.setflags(write=False)
-        return FusedOperator(kind=SUPEROPERATOR, matrix=matrix,
-                             qubits=tuple(int(q) for q in support))
-
-
-#: Process-wide compiler shared by the engines, the batched simulator, and
+#: Process-wide compiler shared by the engines and
 #: ``QuorumCircuitFactory`` (each can be handed a private instance instead).
 _DEFAULT_COMPILER = CircuitCompiler()
 

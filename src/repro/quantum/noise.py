@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.quantum.circuit import Instruction
+from repro.quantum.gates import GATE_NUM_QUBITS
 
 __all__ = [
     "depolarizing_kraus",
@@ -304,6 +305,23 @@ class NoiseModel:
         if arity == 2 and "all_2q" in self._gate_errors:
             return self._gate_errors["all_2q"]
         return None
+
+    def is_gate_local(self) -> bool:
+        """True when every gate error is chosen by (gate name, arity) alone and
+        acts on at most that gate's own qubits.
+
+        Fast paths that fold a circuit rely on this: the same gate then gets
+        the same channel wherever it runs, and a gate's noise never reaches a
+        qubit the gate does not touch.  A subclass that overrides
+        :meth:`error_for_instruction` may look at the qubits, so it fails the
+        check, as does an error wider than the gates registered for it.
+        """
+        if (type(self).error_for_instruction
+                is not NoiseModel.error_for_instruction):
+            return False
+        arities = {"all_1q": 1, "all_2q": 2, **GATE_NUM_QUBITS}
+        return all(error.num_qubits <= arities.get(name, error.num_qubits)
+                   for name, error in self._gate_errors.items())
 
     def fingerprint(self) -> Tuple:
         """Content-based hashable fingerprint (compiled-program cache key part).

@@ -9,7 +9,9 @@ Two engines are provided, both consuming the same :class:`QuantumCircuit` IR:
 * :class:`DensityMatrixSimulator` -- exact mixed-state evolution; reset and noise
   channels are applied deterministically and measurement statistics are sampled
   from the final diagonal.  This is the reference engine for Quorum because the
-  autoencoder's partial reset produces genuinely mixed states.
+  autoencoder's partial reset produces genuinely mixed states; its
+  :meth:`~DensityMatrixSimulator.evolve` is the oracle the folded noisy engine
+  in :mod:`repro.core.execution` is tested against.
 
 Both simulators accept a ``backend=`` argument (a name such as ``"numpy"`` or a
 :class:`~repro.quantum.backend.SimulationBackend` instance) and route every gate
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.quantum.backend import SimulationBackend, get_simulation_backend
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.compiler import CircuitCompiler, default_compiler
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import NoiseModel, ReadoutError
 from repro.quantum.statevector import Statevector
@@ -39,7 +40,6 @@ __all__ = [
     "ExecutionResult",
     "StatevectorSimulator",
     "DensityMatrixSimulator",
-    "BatchedDensityMatrixSimulator",
 ]
 
 
@@ -452,374 +452,3 @@ class DensityMatrixSimulator:
                 key = "".join(register)
                 counts[key] = counts.get(key, 0) + 1
         return counts
-
-
-class BatchedDensityMatrixSimulator:
-    """Exact mixed-state evolution of a whole batch of circuits at once.
-
-    Quorum's noisy runs execute the *same* circuit for every sample -- only the
-    amplitude-encoding differs (the ``initialize`` payload, or the angles of the
-    gate-level state preparation).  This walker exploits that: circuits are
-    grouped by structural signature (instruction names and qubits), and each
-    group is evolved through one batched instruction walk on the simulation
-    backend, applying noise channels to the whole batch per gate.  Gates whose
-    matrices differ across the batch (per-sample state-preparation rotations)
-    go through the per-sample-gate kernel; shared gates (ansatz, SWAP test) use
-    the single-gate kernel.
-
-    This removes the last per-sample Python loop from the noisy density-matrix
-    path while remaining exactly equivalent to running
-    :class:`DensityMatrixSimulator` once per circuit.
-
-    Checkpoint/replay
-    -----------------
-    A compression-level sweep runs the *same* prefix (encoding + encoder) before
-    a per-level suffix (reset block + decoder + SWAP test).  Rather than
-    re-walking the shared prefix once per level, evolve the prefix circuits once
-    with :meth:`evolve_batch` and keep the returned ``(batch, d, d)`` density
-    batch as a checkpoint; :meth:`replay_suffix_batch` then resumes from a
-    snapshot of that checkpoint once per level, walking only the (shared,
-    sample-independent) suffix circuit.  ``evolve_batch`` also *accepts* a
-    density batch via ``initial_rhos``, so arbitrary per-sample continuations
-    can resume from a checkpoint as well.  Noise channels stay fused
-    gate-by-gate into single superoperator passes on both sides of the split.
-
-    Compiled execution
-    ------------------
-    By default (``compile_programs=True``) the walker does not interpret the
-    shared portions of a circuit gate by gate: contiguous runs of
-    sample-independent instructions (shared gates, their noise channels,
-    resets) are lowered once through a :class:`~repro.quantum.compiler
-    .CircuitCompiler` into a handful of fused dense operators and applied via
-    :meth:`SimulationBackend.apply_compiled_superoperator_batch`.  Only the
-    genuinely per-sample columns (``initialize`` payloads, state-preparation
-    rotations with per-sample angles) still walk individually.  Compiled runs
-    live in the compiler's LRU cache keyed by (circuit signature, noise
-    fingerprint, backend dtype), so repeated sweeps never re-lower.
-    ``compile_programs=False`` selects the original gate-by-gate interpreter,
-    retained as the reference path for the parity test suite.
-    """
-
-    #: Upper bound on density-matrix elements (``batch * 4**num_qubits``) walked
-    #: at once.  Density batches are quadratic in the register dimension, so an
-    #: unbounded batch falls out of cache and the contractions become
-    #: memory-bound; ~8 MB of complex128 per chunk is flat-optimal on the
-    #: 7-qubit Quorum circuits while still amortizing the per-gate overhead.
-    MAX_FLAT_ELEMENTS = 1 << 19
-
-    def __init__(self, noise_model: Optional[NoiseModel] = None,
-                 backend: Union[str, SimulationBackend, None] = None,
-                 compiler: Optional[CircuitCompiler] = None,
-                 compile_programs: bool = True) -> None:
-        self.noise_model = noise_model
-        self.backend = get_simulation_backend(backend)
-        self.compiler = compiler if compiler is not None else default_compiler()
-        self.compile_programs = bool(compile_programs)
-
-    def evolve_batch(self, circuits: Sequence[QuantumCircuit],
-                     initial_rhos: Optional[np.ndarray] = None) -> np.ndarray:
-        """Final density matrices of every circuit; shape ``(batch, d, d)``.
-
-        Circuits may differ structurally (e.g. a near-zero state-preparation
-        angle elides one rotation); each structural group is walked separately
-        and the results are scattered back into input order.
-
-        ``initial_rhos`` resumes the walk from one density matrix per circuit
-        (a checkpoint produced by an earlier ``evolve_batch`` call) instead of
-        |0...0><0...0|.  The checkpoint is never mutated: every group walks a
-        backend-owned snapshot of its rows.
-        """
-        if not circuits:
-            raise ValueError("evolve_batch needs at least one circuit")
-        num_qubits = circuits[0].num_qubits
-        if any(circuit.num_qubits != num_qubits for circuit in circuits):
-            raise ValueError("all circuits in a batch must have the same width")
-        dim = 2 ** num_qubits
-        if initial_rhos is not None:
-            initial_rhos = np.asarray(initial_rhos)
-            if initial_rhos.shape != (len(circuits), dim, dim):
-                raise ValueError(
-                    "initial_rhos must hold one (d, d) density matrix per "
-                    f"circuit; expected {(len(circuits), dim, dim)}, got "
-                    f"{initial_rhos.shape}"
-                )
-        groups: Dict[Tuple, List[int]] = {}
-        for index, circuit in enumerate(circuits):
-            signature = tuple(
-                (instruction.name, instruction.qubits)
-                for instruction in circuit.instructions
-            )
-            groups.setdefault(signature, []).append(index)
-        results = np.empty((len(circuits), dim, dim), dtype=self.backend.dtype)
-        chunk = max(1, self.MAX_FLAT_ELEMENTS // (dim * dim))
-        for indices in groups.values():
-            for start in range(0, len(indices), chunk):
-                selected = indices[start:start + chunk]
-                initial = (initial_rhos[selected]
-                           if initial_rhos is not None else None)
-                results[selected] = self._evolve_group(
-                    [circuits[i] for i in selected], initial
-                )
-        return results
-
-    def replay_suffix_batch(self, checkpoint_rhos: np.ndarray,
-                            circuit: QuantumCircuit) -> np.ndarray:
-        """Resume a whole density batch through one shared suffix circuit.
-
-        ``checkpoint_rhos`` is the ``(batch, d, d)`` result of an earlier
-        :meth:`evolve_batch` over the level-independent prefix circuits;
-        ``circuit`` is the per-level suffix (reset block + decoder + SWAP test)
-        shared by every sample.  Each call replays from a snapshot, so one
-        checkpoint serves the whole compression sweep.  Noise channels are
-        fused with their gates exactly as in :meth:`evolve_batch`.
-
-        With compilation on (the default) the suffix is lowered once into a
-        compiled channel program -- every gate fused with its noise channel,
-        contiguous runs fused into dense support-block superoperators (ONE
-        ``4^n x 4^n`` superoperator when the register fits the compiler's
-        support cap) -- and the whole replay is a few batched matmuls against
-        the snapshot instead of a Python gate walk.
-        """
-        checkpoint_rhos = np.asarray(checkpoint_rhos)
-        if checkpoint_rhos.ndim != 3:
-            raise ValueError("a checkpoint must be a (batch, d, d) density batch")
-        if any(instruction.name == "initialize"
-               for instruction in circuit.instructions):
-            raise ValueError(
-                "a suffix circuit cannot re-initialize qubits; encoding belongs "
-                "to the prefix"
-            )
-        if self.compile_programs:
-            dim = checkpoint_rhos.shape[1]
-            if dim != 2 ** circuit.num_qubits:
-                raise ValueError(
-                    "checkpoint dimension does not match the suffix circuit"
-                )
-            program = self.compiler.channel_program(circuit, self.noise_model,
-                                                    self.backend)
-            snapshot = self.backend.copy_density_batch(checkpoint_rhos)
-            chunk = max(1, self.MAX_FLAT_ELEMENTS // (dim * dim))
-            if snapshot.shape[0] <= chunk:
-                return self.backend.apply_compiled_superoperator_batch(snapshot,
-                                                                       program)
-            results = np.empty_like(snapshot)
-            for start in range(0, snapshot.shape[0], chunk):
-                results[start:start + chunk] = (
-                    self.backend.apply_compiled_superoperator_batch(
-                        snapshot[start:start + chunk], program)
-                )
-            return results
-        return self.evolve_batch([circuit] * checkpoint_rhos.shape[0],
-                                 initial_rhos=checkpoint_rhos)
-
-    # ------------------------------------------------------------------ helpers
-    def _evolve_group(self, circuits: List[QuantumCircuit],
-                      initial: Optional[np.ndarray] = None) -> np.ndarray:
-        """Walk one group of structurally identical circuits as a batch."""
-        if self.compile_programs:
-            return self._evolve_group_compiled(circuits, initial)
-        return self._evolve_group_interpreted(circuits, initial)
-
-    def _evolve_group_compiled(self, circuits: List[QuantumCircuit],
-                               initial: Optional[np.ndarray] = None
-                               ) -> np.ndarray:
-        """Compiled walk: shared instruction runs execute as fused operators.
-
-        Contiguous runs of sample-independent instructions (gates whose
-        matrices agree across the batch, and resets) are collected into a
-        sub-circuit, lowered once through the compiler's LRU-cached
-        ``channel_program`` (gates fused with their noise channels, runs fused
-        into dense support-block operators), and applied with
-        ``apply_compiled_superoperator_batch``.  Per-sample columns
-        (``initialize`` payloads, state-preparation gates with per-sample
-        angles) are executed exactly like the interpreted reference walk.
-        """
-        backend = self.backend
-        num_qubits = circuits[0].num_qubits
-        if initial is not None:
-            rhos = backend.copy_density_batch(initial)
-        else:
-            rhos = backend.density_from_states(
-                backend.zero_states(len(circuits), num_qubits)
-            )
-        pending: List[Instruction] = []
-
-        def flush(rhos: np.ndarray) -> np.ndarray:
-            if not pending:
-                return rhos
-            shared = QuantumCircuit(num_qubits, 1, name="compiled_run")
-            shared.instructions = pending.copy()
-            pending.clear()
-            program = self.compiler.channel_program(shared, self.noise_model,
-                                                    backend)
-            return backend.apply_compiled_superoperator_batch(rhos, program)
-
-        for position, instruction in enumerate(circuits[0].instructions):
-            name = instruction.name
-            if name in {"barrier", "measure"}:
-                continue
-            if name == "reset":
-                pending.append(instruction)
-                continue
-            if name == "initialize":
-                rhos = flush(rhos)
-                states = [circuit.instructions[position].state
-                          for circuit in circuits]
-                if any(state is None for state in states):
-                    raise ValueError("initialize instruction is missing its "
-                                     "statevector")
-                rhos = self._apply_initialize_batch(
-                    rhos, np.stack(states), instruction.qubits, num_qubits
-                )
-                continue
-            matrices = [circuit.instructions[position].matrix_or_standard()
-                        for circuit in circuits]
-            first = matrices[0]
-            shared = all(matrix is first or np.array_equal(matrix, first)
-                         for matrix in matrices[1:])
-            if shared:
-                pending.append(instruction)
-                continue
-            rhos = flush(rhos)
-            rhos = self._apply_per_sample_column(rhos, instruction, matrices)
-        return flush(rhos)
-
-    def _apply_per_sample_column(self, rhos: np.ndarray,
-                                 instruction: Instruction,
-                                 matrices: List[np.ndarray]) -> np.ndarray:
-        """One sample-dependent gate column, fused with its noise channel.
-
-        Shared by the compiled and interpreted walks (per-sample columns are
-        never ahead-of-time compiled), so the two walks only differ where
-        compilation re-associates *shared* operator products.  The one fused
-        superoperator pass per gate halves (noiseless) or thirds (noisy) the
-        full-batch tensor contractions versus applying gate and channel
-        separately.
-        """
-        backend = self.backend
-        error = (self.noise_model.error_for_instruction(instruction)
-                 if self.noise_model is not None else None)
-        if error is not None and error.num_qubits != len(instruction.qubits):
-            # Channel acts on a sub-block of the gate's qubits; too rare to
-            # fuse, apply the two steps separately.
-            rhos = backend.apply_gates_density_batch(rhos, np.stack(matrices),
-                                                     instruction.qubits)
-            return backend.apply_superoperator_density_batch(
-                rhos, error.superoperator,
-                instruction.qubits[: error.num_qubits],
-            )
-        gates = np.stack(matrices)
-        local_dim = gates.shape[-1]
-        superops = np.einsum("bij,bkl->bikjl", gates, gates.conj()).reshape(
-            gates.shape[0], local_dim ** 2, local_dim ** 2
-        )
-        if error is not None:
-            superops = np.matmul(error.superoperator, superops)
-        return backend.apply_superoperators_density_batch(
-            rhos, superops, instruction.qubits
-        )
-
-    def _evolve_group_interpreted(self, circuits: List[QuantumCircuit],
-                                  initial: Optional[np.ndarray] = None
-                                  ) -> np.ndarray:
-        """Gate-by-gate reference walk (``compile_programs=False``)."""
-        backend = self.backend
-        num_qubits = circuits[0].num_qubits
-        if initial is not None:
-            rhos = backend.copy_density_batch(initial)
-        else:
-            rhos = backend.density_from_states(
-                backend.zero_states(len(circuits), num_qubits)
-            )
-        for position, instruction in enumerate(circuits[0].instructions):
-            name = instruction.name
-            if name in {"barrier", "measure"}:
-                continue
-            if name == "initialize":
-                states = [circuit.instructions[position].state
-                          for circuit in circuits]
-                if any(state is None for state in states):
-                    raise ValueError("initialize instruction is missing its "
-                                     "statevector")
-                rhos = self._apply_initialize_batch(
-                    rhos, np.stack(states), instruction.qubits, num_qubits
-                )
-                continue
-            if name == "reset":
-                rhos = backend.reset_qubit_density_batch(rhos,
-                                                         instruction.qubits[0])
-                continue
-            matrices = [circuit.instructions[position].matrix_or_standard()
-                        for circuit in circuits]
-            first = matrices[0]
-            shared = all(matrix is first or np.array_equal(matrix, first)
-                         for matrix in matrices[1:])
-            if not shared:
-                rhos = self._apply_per_sample_column(rhos, instruction,
-                                                     matrices)
-                continue
-            error = (self.noise_model.error_for_instruction(instruction)
-                     if self.noise_model is not None else None)
-            if error is not None and error.num_qubits != len(instruction.qubits):
-                # Channel acts on a sub-block of the gate's qubits; too rare to
-                # fuse, apply the two steps separately.
-                rhos = backend.apply_gate_density_batch(rhos, first,
-                                                        instruction.qubits)
-                rhos = backend.apply_superoperator_density_batch(
-                    rhos, error.superoperator,
-                    instruction.qubits[: error.num_qubits],
-                )
-                continue
-            if error is None:
-                rhos = backend.apply_gate_density_batch(rhos, first,
-                                                        instruction.qubits)
-                continue
-            # One fused superoperator pass per gate: the unitary conjugation
-            # ``vec(U rho U^dagger) = (U (x) conj(U)) vec(rho)`` composed with
-            # the gate's noise channel thirds the number of full-batch tensor
-            # contractions, which dominate the walk on ``2n+1``-qubit matrices.
-            superop = error.superoperator @ np.kron(first, first.conj())
-            rhos = backend.apply_superoperator_density_batch(
-                rhos, superop, instruction.qubits
-            )
-        return rhos
-
-    def _apply_initialize_batch(self, rhos: np.ndarray, states: np.ndarray,
-                                qubits: Sequence[int],
-                                num_qubits: int) -> np.ndarray:
-        """Batched twin of ``DensityMatrixSimulator._apply_initialize_density``.
-
-        ``states`` holds one ``2^k`` payload per batch entry.  The target qubits
-        must be in |0> in every entry (as amplitude encoding guarantees); the
-        payloads are tensored into the untouched remainder of each matrix.
-        """
-        backend = self.backend
-        states = np.asarray(states, dtype=backend.dtype)
-        batch, dim = rhos.shape[0], rhos.shape[1]
-        if states.shape != (batch, 2 ** len(qubits)):
-            raise ValueError("one initialize payload per batch entry is required")
-        mask = 0
-        for qubit in qubits:
-            mask |= 1 << qubit
-        indices = np.arange(dim)
-        free = indices[(indices & mask) == 0]
-        diagonal = np.real(np.einsum("bii->bi", rhos))
-        occupied = diagonal[:, indices[(indices & mask) != 0]].sum(axis=1)
-        if np.any(occupied > 1e-9):
-            raise ValueError(
-                "initialize requires its target qubits to be in |0>; "
-                "reset them first or initialize before other operations"
-            )
-        spreads = np.zeros(states.shape[1], dtype=np.int64)
-        for position, qubit in enumerate(qubits):
-            local = np.arange(states.shape[1])
-            spreads |= ((local >> position) & 1) << qubit
-        # new_rho[b, r|spread_i, c|spread_j] = rho[b, r, c] * t[b,i] * conj(t[b,j])
-        sub = rhos[:, free[:, None], free[None, :]]
-        block = np.einsum("bfg,bi,bj->bfigj", sub, states, states.conj())
-        targets = (free[:, None] | spreads[None, :]).reshape(-1)
-        result = np.zeros_like(rhos)
-        result[:, targets[:, None], targets[None, :]] = block.reshape(
-            batch, targets.shape[0], targets.shape[0]
-        )
-        return result

@@ -26,6 +26,7 @@ saved under one calibration cannot silently serve under another.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import platform
 from dataclasses import dataclass, field
@@ -358,7 +359,8 @@ class ModelArtifact:
                 "member_seed": member.member_seed,
                 "selected_features": to_jsonable(member.selected_features),
                 "bucket_size": member.bucket_size,
-                "buckets": to_jsonable(member.buckets),
+                "buckets": [np.asarray(bucket, dtype=np.int64).tolist()
+                            for bucket in member.buckets],
                 "angles": to_jsonable(member.angles),
                 "rng_state": to_jsonable(member.rng_state),
                 "reference": {
@@ -446,18 +448,24 @@ class ModelArtifact:
             buckets_raw = _require(raw, "buckets", context)
             if not isinstance(buckets_raw, list) or not buckets_raw:
                 raise ArtifactCorruptError(f"{context}.buckets is empty")
-            buckets = tuple(
-                tuple(int(index) for index
-                      in _int_array(bucket, f"{context}.buckets[{b}]"))
-                for b, bucket in enumerate(buckets_raw)
-            )
+            if not all(isinstance(bucket, list) for bucket in buckets_raw):
+                raise ArtifactCorruptError(
+                    f"{context}.buckets holds an entry that is not a list")
+            # One int-array decode for all of the member's buckets, split back
+            # by the bucket lengths.
+            flat = _int_array(list(itertools.chain.from_iterable(buckets_raw)),
+                              f"{context}.buckets")
+            if flat.ndim != 1:
+                raise ArtifactDtypeError(
+                    f"{context}.buckets must hold flat lists of indices")
+            bounds = np.cumsum([len(bucket) for bucket in buckets_raw])[:-1]
+            buckets = tuple(tuple(part.tolist())
+                            for part in np.split(flat, bounds))
             num_buckets = len(buckets)
             # Buckets must partition the training samples exactly once: a
             # negative, out-of-range, or duplicated index would not fail
             # loudly at scoring time -- it would silently shift replay-mode
             # z-scores (Python negative indexing) or crash mid-request.
-            flat = np.concatenate([np.asarray(bucket, dtype=int)
-                                   for bucket in buckets])
             if (flat.shape[0] != num_samples
                     or not np.array_equal(np.sort(flat),
                                           np.arange(num_samples))):
@@ -581,9 +589,11 @@ def save_model(model: Union[QuorumDetector, ModelArtifact],
                 else ModelArtifact.from_detector(model))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # Compact separators keep json on its C encoder (any indent falls back
+    # to the pure-Python one); the bundle is written in one call.
+    text = json.dumps(artifact.to_payload(), separators=(",", ":"))
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(artifact.to_payload(), handle, indent=1)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 

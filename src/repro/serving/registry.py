@@ -218,6 +218,7 @@ class ModelRegistry:
                 "compiles": stats.compiles,
                 "hits": stats.hits,
                 "misses": stats.misses,
+                "fallbacks": stats.fallbacks,
                 "entries": self.compiler.cache_size(),
                 "bytes": self.compiler.cache_bytes(),
             },

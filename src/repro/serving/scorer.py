@@ -619,6 +619,7 @@ class OnlineScorer:
                 "compiles": stats.compiles,
                 "hits": stats.hits,
                 "misses": stats.misses,
+                "fallbacks": stats.fallbacks,
                 "entries": self.compiler.cache_size(),
                 "bytes": self.compiler.cache_bytes(),
             },

@@ -7,7 +7,7 @@ Three invariants guard the refactor:
   cannot change its randomness);
 * the fused ``(levels x samples)`` batch reproduces the historical per-level
   loop (bit-identically for the engines that override it);
-* the batched noisy circuit walk reproduces the per-sample walk to 1e-10.
+* the folded noisy engine reproduces the per-sample simulator to 1e-12.
 """
 
 import pickle
@@ -127,7 +127,7 @@ class TestFusedLevelBatch:
                                           gate_level_encoding=True)
         looped = np.stack([loop_engine.p1_batch(batch, ansatz, level)
                            for level in [1, 2]])
-        assert np.allclose(fused, looped, atol=1e-10)
+        assert np.array_equal(fused, looped)
 
     def test_empty_levels_rejected(self):
         ansatz = RandomAutoencoderAnsatz(3, seed=24)
@@ -141,62 +141,44 @@ class TestFusedLevelBatch:
                                                        [1, 7])
 
 
-class TestBatchedNoisyWalk:
-    """The batched circuit walk == the per-sample reference walk (<= 1e-10)."""
+class TestFoldedNoisyEngine:
+    """The folded engine == the per-sample reference simulator (<= 1e-12)."""
 
-    @pytest.mark.parametrize("gate_level", [False, True])
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_noiseless_walks_agree(self, gate_level, level):
-        ansatz = RandomAutoencoderAnsatz(2, seed=31)
-        batch = make_batch(num_samples=5, num_qubits=2, seed=4)
-        engine = DensityMatrixEngine(shots=None,
-                                     gate_level_encoding=gate_level)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, level)
-        per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, level)
-        assert np.allclose(batched, per_sample, atol=1e-10)
-
-    @pytest.mark.parametrize("gate_level", [False, True])
-    def test_noisy_walks_agree(self, gate_level):
+    @pytest.mark.parametrize("noisy,gate_level", [(False, True), (True, False),
+                                                  (True, True)])
+    def test_fold_matches_per_sample_simulator(self, noisy, gate_level):
         from repro.quantum.backends import FakeBrisbane
 
-        ansatz = RandomAutoencoderAnsatz(2, seed=32)
-        batch = make_batch(num_samples=4, num_qubits=2, seed=5)
-        noise = FakeBrisbane(5).to_noise_model()
-        engine = DensityMatrixEngine(shots=None, noise_model=noise,
-                                     gate_level_encoding=gate_level)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, 1)
-        per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, 1)
-        assert np.allclose(batched, per_sample, atol=1e-10)
+        ansatz = RandomAutoencoderAnsatz(2, seed=31)
+        batch = make_batch(num_samples=5, num_qubits=2, seed=4)
+        kwargs = dict(shots=None, gate_level_encoding=gate_level,
+                      noise_model=FakeBrisbane(5).to_noise_model()
+                      if noisy else None)
+        folded = DensityMatrixEngine(**kwargs)
+        reference = DensityMatrixEngine(compile_circuits=False, **kwargs)
+        levels = [0, 1, 2]
+        assert np.allclose(folded.p1_levels_batch(batch, ansatz, levels),
+                           reference.p1_levels_batch(batch, ansatz, levels),
+                           atol=1e-12)
 
-    def test_chunked_walk_matches_unchunked(self):
-        from repro.quantum.simulator import BatchedDensityMatrixSimulator
-        from repro.algorithms.autoencoder import build_autoencoder_circuit
+    def test_elided_rotations_match_per_sample_simulator(self):
+        """Zero-amplitude features elide preparation rotations (and their
+        noise) in those rows only."""
+        from repro.quantum.backends import FakeBrisbane
 
-        ansatz = RandomAutoencoderAnsatz(2, seed=33)
-        batch = make_batch(num_samples=6, num_qubits=2, seed=6)
-        circuits = [build_autoencoder_circuit(row, ansatz, 1, measure=False)
-                    for row in batch]
-        walker = BatchedDensityMatrixSimulator()
-        unchunked = walker.evolve_batch(circuits)
-        walker.MAX_FLAT_ELEMENTS = 2 ** 5  # forces one-circuit chunks
-        chunked = walker.evolve_batch(circuits)
-        assert np.allclose(unchunked, chunked, atol=1e-12)
-
-    def test_structurally_different_circuits_grouped_correctly(self):
-        """Zero-amplitude features elide prep rotations; grouping must scatter
-        results back into input order."""
         ansatz = RandomAutoencoderAnsatz(2, seed=34)
         batch = make_batch(num_samples=4, num_qubits=2, seed=7)
-        # Make two samples structurally different: all mass on the overflow
-        # state zeroes several multiplexed-RY angles.
+        # All mass on the overflow state zeroes several multiplexed-RY angles.
         sparse = np.zeros(4)
         sparse[-1] = 1.0
         batch[1] = sparse
         batch[3] = sparse
-        engine = DensityMatrixEngine(shots=None, gate_level_encoding=True)
-        batched = engine.p1_batch_circuit_level(batch, ansatz, 1)
-        per_sample = engine.p1_per_sample_circuit_level(batch, ansatz, 1)
-        assert np.allclose(batched, per_sample, atol=1e-10)
+        kwargs = dict(shots=None, gate_level_encoding=True,
+                      noise_model=FakeBrisbane(5).to_noise_model())
+        folded = DensityMatrixEngine(**kwargs).p1_batch(batch, ansatz, 1)
+        reference = DensityMatrixEngine(compile_circuits=False,
+                                        **kwargs).p1_batch(batch, ansatz, 1)
+        assert np.allclose(folded, reference, atol=1e-12)
 
 
 class TestMemberPlans:

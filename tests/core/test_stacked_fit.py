@@ -147,6 +147,20 @@ class TestCompilerIsIdle:
              _features(samples=12))
         assert compiler.stats.compiles > 0
 
+    def test_noisy_fit_compiles_one_observable_per_member_and_level(
+            self, monkeypatch):
+        import repro.core.execution as execution
+
+        compiler = CircuitCompiler()
+        monkeypatch.setattr(execution, "default_compiler", lambda: compiler)
+        config = QuorumConfig(ensemble_groups=3, seed=27, shots=4096,
+                              backend="density_matrix", noisy=True)
+        _fit(config, _features(samples=12))
+        members_x_levels = 3 * len(config.effective_compression_levels)
+        assert compiler.stats.compiles == members_x_levels
+        assert compiler.stats.misses == members_x_levels
+        assert compiler.stats.fallbacks == 0
+
 
 class TestLoopBuiltArtifacts:
     """Artifacts keep ``schema_version`` 1: the payload fields are unchanged."""

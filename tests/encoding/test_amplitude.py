@@ -8,6 +8,7 @@ from repro.encoding.amplitude import (
     AmplitudeEncoder,
     amplitude_probabilities,
     amplitudes_from_features,
+    preparation_schedule,
     state_preparation_circuit,
 )
 from repro.quantum.simulator import StatevectorSimulator
@@ -104,6 +105,49 @@ class TestStatePreparation:
     def test_num_qubits_mismatch_raises(self):
         with pytest.raises(ValueError):
             state_preparation_circuit([1.0, 0.0], num_qubits=2)
+
+
+class TestPreparationSchedule:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_batch_rows_are_bitwise_their_one_row_schedules(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        features = rng.uniform(0.0, 1.0 / np.sqrt(2 ** num_qubits),
+                               size=(7, 2 ** num_qubits - 1))
+        features[2] = 0.0
+        batch = np.stack([amplitudes_from_features(row, num_qubits)
+                          for row in features])
+        schedule = preparation_schedule(batch)
+        assert sum(angles is not None for _, angles in schedule) \
+            == 2 ** num_qubits - 1
+        for index, row in enumerate(batch):
+            alone = preparation_schedule(row[None, :])
+            assert [qubits for qubits, _ in alone] \
+                == [qubits for qubits, _ in schedule]
+            for (_, angles), (_, row_angles) in zip(schedule, alone):
+                if angles is None:
+                    assert row_angles is None
+                else:
+                    assert angles[index] == row_angles[0]
+
+    def test_circuit_is_the_one_row_schedule_with_elisions(self):
+        amplitudes = np.zeros(8)
+        amplitudes[:2] = np.sqrt(0.5)  # only qubit 0 rotates
+        schedule = preparation_schedule(amplitudes[None, :])
+        circuit = state_preparation_circuit(amplitudes)
+        expected = [(("ry" if angles is not None else "cx"), qubits)
+                    for qubits, angles in schedule
+                    if angles is None or abs(angles[0]) > 1e-9]
+        assert [(instr.name, instr.qubits)
+                for instr in circuit.instructions] == expected
+        assert len(circuit.instructions) < len(schedule)
+
+    def test_rejects_invalid_batches(self):
+        with pytest.raises(ValueError, match="2-D"):
+            preparation_schedule(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            preparation_schedule(np.array([[0.8, -0.6]]))
+        with pytest.raises(ValueError, match="normalized"):
+            preparation_schedule(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
 class TestAmplitudeEncoder:

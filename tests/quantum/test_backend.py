@@ -20,6 +20,12 @@ def random_states(rng, batch, num_qubits):
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
+def zero_states(batch, num_qubits):
+    states = np.zeros((batch, 2 ** num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    return states
+
+
 def random_unitary(rng, num_qubits):
     dim = 2 ** num_qubits
     matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -65,14 +71,6 @@ class TestRegistry:
 class TestStatevectorPrimitives:
     backend = NumpyBackend()
 
-    def test_zero_states(self):
-        states = self.backend.zero_states(4, 3)
-        assert states.shape == (4, 8)
-        assert np.allclose(states[:, 0], 1.0)
-        assert np.allclose(states[:, 1:], 0.0)
-        with pytest.raises(ValueError):
-            self.backend.zero_states(0, 3)
-
     def test_apply_gate_batch_property_vs_per_sample(self):
         """Property test: the batched kernel agrees with apply_unitary_to_tensor
         applied row by row, for random gates, targets, and register sizes."""
@@ -92,7 +90,7 @@ class TestStatevectorPrimitives:
                 assert np.allclose(batched[row], expected, atol=1e-10)
 
     def test_apply_gate_batch_validates_shapes(self):
-        states = self.backend.zero_states(2, 2)
+        states = zero_states(2, 2)
         with pytest.raises(ValueError):
             self.backend.apply_gate_batch(states, np.eye(4), [0])
         with pytest.raises(ValueError):
@@ -137,7 +135,7 @@ class TestStatevectorPrimitives:
         assert np.allclose(np.linalg.norm(reset, axis=1), 1.0)
 
     def test_collapse_impossible_outcome_raises(self):
-        states = self.backend.zero_states(2, 2)  # qubit 0 is definitely 0
+        states = zero_states(2, 2)  # qubit 0 is definitely 0
         with pytest.raises(RuntimeError):
             self.backend.collapse_qubit_batch(states, 0, np.array([1, 1]))
 
@@ -225,7 +223,7 @@ class TestUnitaryFromInstructions:
 
 
 class TestBatchedChannelPrimitives:
-    """The density primitives added for the batched circuit walker."""
+    """The density-channel primitives behind the noisy engine and compiler."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(7)
@@ -234,28 +232,6 @@ class TestBatchedChannelPrimitives:
     def random_densities(self, batch, num_qubits):
         states = random_states(self.rng, batch, num_qubits)
         return self.backend.density_from_states(states)
-
-    def test_per_sample_gates_match_per_sample_conjugation(self):
-        rhos = self.random_densities(5, 3)
-        gates = np.stack([random_unitary(self.rng, 1) for _ in range(5)])
-        batched = self.backend.apply_gates_density_batch(rhos, gates, [1])
-        for index in range(5):
-            reference = DensityMatrix(rhos[index]).evolve_gate(gates[index], [1])
-            assert np.allclose(batched[index], reference.data, atol=1e-12)
-
-    def test_per_sample_two_qubit_gates(self):
-        rhos = self.random_densities(4, 3)
-        gates = np.stack([random_unitary(self.rng, 2) for _ in range(4)])
-        batched = self.backend.apply_gates_density_batch(rhos, gates, [0, 2])
-        for index in range(4):
-            reference = DensityMatrix(rhos[index]).evolve_gate(gates[index], [0, 2])
-            assert np.allclose(batched[index], reference.data, atol=1e-12)
-
-    def test_per_sample_gates_shape_mismatch_raises(self):
-        rhos = self.random_densities(3, 2)
-        gates = np.stack([random_unitary(self.rng, 1) for _ in range(2)])
-        with pytest.raises(ValueError, match="per-sample gates"):
-            self.backend.apply_gates_density_batch(rhos, gates, [0])
 
     def test_shared_superoperator_matches_density_matrix(self):
         from repro.quantum.noise import QuantumError, depolarizing_kraus
@@ -290,31 +266,6 @@ class TestBatchedChannelPrimitives:
             rhos, np.kron(unitary, unitary.conj()), [2])
         direct = self.backend.apply_gate_density_batch(rhos, unitary, [2])
         assert np.allclose(fused, direct, atol=1e-12)
-
-    def test_reset_qubit_matches_density_matrix(self):
-        rhos = self.random_densities(5, 3)
-        for qubit in range(3):
-            batched = self.backend.reset_qubit_density_batch(rhos, qubit)
-            for index in range(5):
-                reference = DensityMatrix(rhos[index]).reset_qubit(qubit)
-                assert np.allclose(batched[index], reference.data, atol=1e-12)
-
-    def test_default_reset_implementation_matches_override(self):
-        rhos = self.random_densities(3, 2)
-        default = SimulationBackend.reset_qubit_density_batch(
-            self.backend, rhos, 1)
-        assert np.allclose(default,
-                           self.backend.reset_qubit_density_batch(rhos, 1),
-                           atol=1e-12)
-
-    def test_probability_one_density_matches_density_matrix(self):
-        rhos = self.random_densities(6, 3)
-        for qubit in range(3):
-            batched = self.backend.probability_one_density_batch(rhos, qubit)
-            for index in range(6):
-                reference = DensityMatrix(rhos[index]).probability_of_outcome(
-                    qubit, 1)
-                assert batched[index] == pytest.approx(reference, abs=1e-12)
 
     def test_compression_overlap_levels_matches_analytic_reduction(self):
         states = random_states(self.rng, 6, 3)

@@ -4,7 +4,7 @@ Every batched kernel in :mod:`repro.quantum.backend` must (a) preserve the
 defining properties of a density matrix -- unit trace, Hermiticity, positivity
 up to numerical tolerance -- and (b) agree row by row with the single-sample
 reference implementations (:class:`repro.quantum.density_matrix.DensityMatrix`
-and :class:`repro.quantum.simulator.DensityMatrixSimulator`).  Random mixed
+and, through the folded engine, :class:`repro.quantum.simulator.DensityMatrixSimulator`).  Random mixed
 states, random gates, random target-qubit subsets, and random CPTP channels are
 drawn per Hypothesis example (seed-driven, mirroring the style of
 ``tests/quantum/test_density_matrix.py``).
@@ -14,8 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.ansatz import RandomAutoencoderAnsatz
+from repro.core.ensemble import batch_amplitudes
+from repro.core.execution import DensityMatrixEngine
 from repro.quantum.backend import get_simulation_backend
-from repro.quantum.circuit_library import random_circuit
+from repro.quantum.backends import FakeBrisbane
+from repro.quantum.compiler import CircuitCompiler
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import (
     QuantumError,
@@ -23,14 +27,10 @@ from repro.quantum.noise import (
     depolarizing_kraus,
     thermal_relaxation_kraus,
 )
-from repro.quantum.simulator import (
-    BatchedDensityMatrixSimulator,
-    DensityMatrixSimulator,
-)
 
 #: (backend name, numerical tolerance) -- the float32 variant computes in
 #: complex64, so its kernels are only accurate to single precision.
-BACKENDS = [("numpy", 1e-10), ("numpy-float32", 2e-4)]
+BACKENDS = [("numpy", 1e-12), ("numpy-float32", 2e-4)]
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -43,13 +43,6 @@ def random_density_batch(rng, batch, num_qubits):
     rhos = np.matmul(factors, factors.conj().transpose(0, 2, 1))
     traces = np.einsum("bii->b", rhos).real
     return rhos / traces[:, None, None]
-
-
-def random_unitaries(rng, batch, num_target_qubits):
-    dim = 2 ** num_target_qubits
-    matrices = (rng.normal(size=(batch, dim, dim))
-                + 1j * rng.normal(size=(batch, dim, dim)))
-    return np.stack([np.linalg.qr(matrix)[0] for matrix in matrices])
 
 
 def random_qubit_subset(rng, num_qubits, size):
@@ -77,30 +70,6 @@ def assert_density_properties(rhos, tolerance):
                        atol=tolerance), "result must stay Hermitian"
     eigenvalues = np.linalg.eigvalsh(rhos)
     assert eigenvalues.min() >= -tolerance, "result must stay positive"
-
-
-@pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
-class TestApplyGatesDensityBatch:
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_per_sample_gates_preserve_density_properties_and_match_reference(
-            self, backend_name, tolerance, seed):
-        rng = np.random.default_rng(seed)
-        num_qubits = int(rng.integers(2, 4))
-        num_targets = int(rng.integers(1, num_qubits + 1))
-        batch = int(rng.integers(1, 6))
-        qubits = random_qubit_subset(rng, num_qubits, num_targets)
-        rhos = random_density_batch(rng, batch, num_qubits)
-        gates = random_unitaries(rng, batch, num_targets)
-
-        backend = get_simulation_backend(backend_name)
-        evolved = backend.apply_gates_density_batch(rhos, gates, qubits)
-
-        assert_density_properties(evolved, tolerance)
-        for index in range(batch):
-            reference = DensityMatrix(rhos[index]).evolve_gate(gates[index],
-                                                               qubits)
-            assert np.allclose(evolved[index], reference.data, atol=tolerance)
 
 
 @pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
@@ -156,79 +125,35 @@ class TestApplySuperoperatorDensityBatch:
 
 
 @pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
-class TestResetQubitDensityBatch:
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_reset_preserves_density_properties_and_matches_reference(
-            self, backend_name, tolerance, seed):
-        rng = np.random.default_rng(seed)
-        num_qubits = int(rng.integers(2, 4))
-        qubit = int(rng.integers(num_qubits))
-        batch = int(rng.integers(1, 6))
-        rhos = random_density_batch(rng, batch, num_qubits)
-
-        backend = get_simulation_backend(backend_name)
-        reset = backend.reset_qubit_density_batch(rhos, qubit)
-
-        assert_density_properties(reset, tolerance)
-        # The reset qubit is in |0> with certainty afterwards.
-        assert np.allclose(
-            backend.probability_one_density_batch(reset, qubit), 0.0,
-            atol=tolerance,
-        )
-        for index in range(batch):
-            reference = DensityMatrix(rhos[index]).reset_qubit(qubit)
-            assert np.allclose(reset[index], reference.data, atol=tolerance)
-
-
-@pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
-class TestProbabilityOneDensityBatch:
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_probabilities_are_valid_and_match_reference(self, backend_name,
-                                                         tolerance, seed):
-        rng = np.random.default_rng(seed)
-        num_qubits = int(rng.integers(2, 4))
-        qubit = int(rng.integers(num_qubits))
-        batch = int(rng.integers(1, 6))
-        rhos = random_density_batch(rng, batch, num_qubits)
-
-        backend = get_simulation_backend(backend_name)
-        probabilities = backend.probability_one_density_batch(rhos, qubit)
-
-        assert probabilities.shape == (batch,)
-        assert np.all(probabilities >= -tolerance)
-        assert np.all(probabilities <= 1.0 + tolerance)
-        for index in range(batch):
-            reference = DensityMatrix(rhos[index]).probability_of_outcome(qubit, 1)
-            assert np.isclose(probabilities[index], reference, atol=tolerance)
-
-
-class TestBatchedWalkOnRandomCircuits:
-    """The batched circuit walker agrees with the per-sample simulator on
-    arbitrary random circuits (not just the Quorum autoencoder family)."""
+class TestFoldedEngineOnRandomBatches:
+    """The folded noisy engine's prepared states are density matrices, and its
+    probabilities agree with the per-sample simulator on random batches
+    (rows with zero features elide preparation rotations)."""
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=10, deadline=None)
-    def test_random_circuit_batch_matches_per_sample_simulator(self, seed):
+    def test_random_batch_matches_per_sample_simulator(self, backend_name,
+                                                       tolerance, seed):
         rng = np.random.default_rng(seed)
         num_qubits = int(rng.integers(2, 4))
-        depth = int(rng.integers(1, 4))
-        circuits = [
-            random_circuit(num_qubits, depth, seed=int(rng.integers(1_000_000)))
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        noise = None
-        if rng.random() < 0.5:
-            from repro.quantum.backends import FakeBrisbane
+        features = rng.uniform(0.0, 1.0 / np.sqrt(2 ** num_qubits - 1),
+                               size=(int(rng.integers(1, 5)),
+                                     2 ** num_qubits - 1))
+        features[rng.random(features.shape) < 0.3] = 0.0
+        amplitudes = batch_amplitudes(features, num_qubits)
+        noise = FakeBrisbane(2 * num_qubits + 1).to_noise_model() \
+            if rng.random() < 0.5 else None
+        ansatz = RandomAutoencoderAnsatz(num_qubits,
+                                         seed=int(rng.integers(1000)))
+        levels = list(range(num_qubits + 1))
+        kwargs = dict(shots=None, noise_model=noise, gate_level_encoding=True,
+                      simulation_backend=backend_name)
+        folded = DensityMatrixEngine(compiler=CircuitCompiler(), **kwargs)
 
-            noise = FakeBrisbane(num_qubits).to_noise_model()
-
-        walker = BatchedDensityMatrixSimulator(noise_model=noise)
-        batched = walker.evolve_batch(circuits)
-
-        assert_density_properties(batched, 1e-10)
-        reference = DensityMatrixSimulator(noise_model=noise)
-        for index, circuit in enumerate(circuits):
-            assert np.allclose(batched[index], reference.evolve(circuit).data,
-                               atol=1e-10)
+        assert_density_properties(folded._prepared_densities(amplitudes),
+                                  tolerance)
+        reference = DensityMatrixEngine(compile_circuits=False, **kwargs)
+        assert np.allclose(folded.p1_levels_batch(amplitudes, ansatz, levels),
+                           reference.p1_levels_batch(amplitudes, ansatz,
+                                                     levels),
+                           atol=tolerance)

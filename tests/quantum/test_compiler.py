@@ -3,7 +3,7 @@
 The compiler may reassociate operator products (fusing gate runs into dense
 blocks, pulling the readout projector back through the channel adjoint), but it
 must never change *what* is computed: every compiled artifact is checked
-against the gate-by-gate interpreted reference to ``<= 1e-10`` on the
+against the per-circuit density-matrix simulator to ``<= 1e-12`` on the
 ``complex128`` backend (and to single precision on ``numpy-float32``), across
 noise models, random ansatz/level combinations, and Hypothesis-driven random
 circuits.  The LRU cache is pinned by compile counters, and the shot-noise RNG
@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz
 from repro.algorithms.autoencoder import (
     QuorumCircuitFactory,
+    build_autoencoder_circuit,
     build_autoencoder_prefix,
     build_autoencoder_suffix,
 )
 from repro.core.ensemble import batch_amplitudes
 from repro.core.execution import AnalyticEngine, DensityMatrixEngine
-from repro.quantum.backend import get_simulation_backend
 from repro.quantum.backends import FakeBrisbane
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.circuit_library import random_circuit
@@ -33,17 +33,14 @@ from repro.quantum.compiler import (
     noise_model_fingerprint,
 )
 from repro.quantum.noise import NoiseModel, QuantumError, depolarizing_kraus
-from repro.quantum.simulator import (
-    BatchedDensityMatrixSimulator,
-    DensityMatrixSimulator,
-)
+from repro.quantum.simulator import DensityMatrixSimulator
 from repro.quantum.transpiler import unitaries_equivalent
 from tests.oracle import gate_by_gate_encoder_unitary
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
 #: (backend name, tolerance of compiled-vs-interpreted agreement).
-BACKENDS = [("numpy", 1e-10), ("numpy-float32", 5e-5)]
+BACKENDS = [("numpy", 1e-12), ("numpy-float32", 5e-5)]
 
 
 def make_batch(num_samples=5, num_qubits=2, seed=0):
@@ -112,131 +109,50 @@ class TestUnitaryCompilation:
             fused[0, 0] = 0.0
 
 
-class TestChannelCompilation:
+class TestDualObservable:
     @pytest.mark.parametrize("noise_name", sorted(NOISE_MODELS))
     @pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
-    def test_compiled_suffix_matches_interpreted_replay(self, noise_name,
-                                                        backend_name,
-                                                        tolerance):
-        ansatz = RandomAutoencoderAnsatz(2, seed=11)
-        batch = make_batch(seed=1)
+    def test_observable_matches_forward_evolution(self, noise_name,
+                                                  backend_name, tolerance):
+        """<W, rho_prefix> equals the ancilla P(1) of the whole circuit."""
+        ansatz = RandomAutoencoderAnsatz(2, seed=21)
         noise = NOISE_MODELS[noise_name](5)
-        backend = get_simulation_backend(backend_name)
-        prefixes = [build_autoencoder_prefix(row, ansatz,
-                                             gate_level_encoding=True)
-                    for row in batch]
-        interpreted = BatchedDensityMatrixSimulator(
-            noise_model=noise, backend=backend, compile_programs=False)
-        compiled = BatchedDensityMatrixSimulator(
-            noise_model=noise, backend=backend, compiler=CircuitCompiler())
-        checkpoint = interpreted.evolve_batch(prefixes)
-        for level in (0, 1, 2):
-            suffix = build_autoencoder_suffix(ansatz, level, measure=False)
-            assert np.allclose(compiled.replay_suffix_batch(checkpoint, suffix),
-                               interpreted.replay_suffix_batch(checkpoint,
-                                                               suffix),
-                               atol=tolerance)
-
-    def test_narrow_suffix_compiles_to_one_superoperator(self):
-        """A register within the support cap fuses the whole suffix -- gates,
-        per-gate noise, and the reset channel -- into ONE 4^n x 4^n matrix."""
-        ansatz = RandomAutoencoderAnsatz(2, seed=5)
-        suffix = build_autoencoder_suffix(ansatz, 2, measure=False)
         factory = QuorumCircuitFactory(ansatz, compiler=CircuitCompiler())
-        program = factory.compiled_suffix_channel(
-            2, FakeBrisbane(5).to_noise_model())
-        assert len(program) == 1
-        (operator,) = program.operators
-        assert operator.kind == "superoperator"
-        assert operator.qubits == tuple(range(5))
-        assert operator.matrix.shape == (4 ** 5, 4 ** 5)
-        assert suffix.num_qubits == 5
-
-    def test_support_cap_splits_wide_circuits(self):
-        ansatz = RandomAutoencoderAnsatz(3, seed=5)
-        suffix = build_autoencoder_suffix(ansatz, 1, measure=False)
-        compiler = CircuitCompiler(max_superop_qubits=3)
-        program = compiler.channel_program(suffix,
-                                           FakeBrisbane(7).to_noise_model())
-        assert len(program) > 1
-        assert all(len(op.qubits) <= 3 for op in program.operators)
-
-    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
-    def test_parity_is_cap_independent(self, cap):
-        ansatz = RandomAutoencoderAnsatz(2, seed=13)
-        batch = make_batch(seed=3)
-        noise = FakeBrisbane(5).to_noise_model()
-        prefixes = [build_autoencoder_prefix(row, ansatz,
-                                             gate_level_encoding=True)
-                    for row in batch]
-        reference = BatchedDensityMatrixSimulator(noise_model=noise,
-                                                  compile_programs=False)
-        checkpoint = reference.evolve_batch(prefixes)
-        suffix = build_autoencoder_suffix(ansatz, 1, measure=False)
-        expected = reference.replay_suffix_batch(checkpoint, suffix)
-        walker = BatchedDensityMatrixSimulator(
-            noise_model=noise, compiler=CircuitCompiler(max_superop_qubits=cap))
-        assert np.allclose(walker.replay_suffix_batch(checkpoint, suffix),
-                           expected, atol=1e-10)
-
-    def test_noiseless_runs_fuse_to_unitary_blocks(self):
-        """Channel runs without any noise or reset compile to plain unitaries
-        (applied by the much cheaper conjugation kernel)."""
-        circuit = QuantumCircuit(3, 1)
-        circuit.h(0)
-        circuit.cx(0, 1)
-        circuit.rx(0.3, 2)
-        program = CircuitCompiler().channel_program(circuit, None)
-        assert all(op.kind == "unitary" for op in program.operators)
-
-    def test_channel_program_rejects_initialize(self):
-        circuit = QuantumCircuit(2, 1)
-        circuit.initialize(np.array([1.0, 0.0]), [0])
-        with pytest.raises(ValueError, match="initialize"):
-            CircuitCompiler().channel_program(circuit, None)
+        simulator = DensityMatrixSimulator(noise_model=noise)
+        for row in make_batch(seed=2):
+            prefix = simulator.evolve(
+                build_autoencoder_prefix(row, ansatz, gate_level_encoding=True))
+            for level in (0, 1, 2):
+                expected = simulator.evolve(build_autoencoder_circuit(
+                    row, ansatz, level, gate_level_encoding=True,
+                    measure=False)).probability_of_outcome(4, 1)
+                observable = factory.suffix_observable(level, noise,
+                                                       backend_name)
+                dual = np.real(np.vdot(observable, prefix.data))
+                assert abs(dual - expected) <= tolerance
 
     @settings(max_examples=15, deadline=None)
     @given(seed=seeds)
-    def test_random_circuit_channel_parity(self, seed):
-        """Hypothesis: random gate streams + noise compile to the same channel
-        the per-circuit density-matrix interpreter applies."""
+    def test_random_circuit_observable_parity(self, seed):
+        """Hypothesis: random gate streams + resets + noise pull the readout
+        projector back through the channel the per-circuit interpreter
+        applies."""
         circuit = random_circuit(num_qubits=3, depth=6, seed=seed)
         rng = np.random.default_rng(seed)
         if rng.random() < 0.5:
             circuit.reset(int(rng.integers(3)))
+        qubit = int(rng.integers(3))
         noise = depolarizing_model() if rng.random() < 0.7 else None
-        reference = DensityMatrixSimulator(noise_model=noise).evolve(circuit)
-        program = CircuitCompiler(
-            max_superop_qubits=int(rng.integers(1, 4))).channel_program(
-            circuit, noise)
-        backend = get_simulation_backend("numpy")
-        initial = backend.density_from_states(backend.zero_states(1, 3))
-        compiled = backend.apply_compiled_superoperator_batch(initial, program)
-        assert np.allclose(compiled[0], reference.data, atol=1e-10)
+        expected = DensityMatrixSimulator(noise_model=noise).evolve(
+            circuit).probability_of_outcome(qubit, 1)
+        observable = CircuitCompiler().dual_observable(circuit, noise, qubit)
+        assert abs(np.real(observable[0, 0]) - expected) <= 1e-12
 
-
-class TestDualObservable:
-    @pytest.mark.parametrize("noise_name", sorted(NOISE_MODELS))
-    def test_observable_matches_forward_replay(self, noise_name):
-        ansatz = RandomAutoencoderAnsatz(2, seed=21)
-        batch = make_batch(seed=2)
-        noise = NOISE_MODELS[noise_name](5)
-        backend = get_simulation_backend("numpy")
-        walker = BatchedDensityMatrixSimulator(noise_model=noise,
-                                               compile_programs=False)
-        checkpoint = walker.evolve_batch([
-            build_autoencoder_prefix(row, ansatz, gate_level_encoding=True)
-            for row in batch
-        ])
-        factory = QuorumCircuitFactory(ansatz, compiler=CircuitCompiler())
-        for level in (0, 1, 2):
-            suffix = build_autoencoder_suffix(ansatz, level, measure=False)
-            forward = backend.probability_one_density_batch(
-                walker.replay_suffix_batch(checkpoint, suffix), 4)
-            observable = factory.suffix_observable(level, noise)
-            dual = backend.observable_expectation_density_batch(checkpoint,
-                                                                observable)
-            assert np.allclose(dual, forward, atol=1e-10)
+    def test_observable_rejects_initialize(self):
+        circuit = QuantumCircuit(2, 1)
+        circuit.initialize(np.array([1.0, 0.0]), [0])
+        with pytest.raises(ValueError, match="initialize"):
+            CircuitCompiler().dual_observable(circuit, None, 0)
 
     def test_observable_is_hermitian(self):
         """The adjoint of a CPTP map preserves Hermiticity, so the compiled
@@ -252,7 +168,7 @@ class TestEngineParity:
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, level_seed=seeds)
     def test_random_ansatz_level_combinations(self, seed, level_seed):
-        """Hypothesis: compiled and interpreted noisy engines agree to 1e-10
+        """Hypothesis: compiled and reference noisy engines agree to 1e-12
         for random ansatz draws and random level subsets."""
         rng = np.random.default_rng(level_seed)
         ansatz = RandomAutoencoderAnsatz(2, num_layers=int(rng.integers(1, 3)),
@@ -266,7 +182,7 @@ class TestEngineParity:
         interpreted = DensityMatrixEngine(compile_circuits=False, **kwargs)
         assert np.allclose(compiled.p1_levels_batch(batch, ansatz, levels),
                            interpreted.p1_levels_batch(batch, ansatz, levels),
-                           atol=1e-10)
+                           atol=1e-12)
 
     @pytest.mark.parametrize("backend_name,tolerance", BACKENDS)
     def test_noisy_engine_parity_per_backend(self, backend_name, tolerance):
@@ -310,8 +226,7 @@ class TestEngineParity:
             compiler=compiler, rng=np.random.default_rng(17),
         )
         looped = np.stack([
-            loop_engine.p1_batch_circuit_level(batch, ansatz, level)
-            for level in levels
+            loop_engine.p1_batch(batch, ansatz, level) for level in levels
         ])
         assert np.array_equal(fused, looped)
 
@@ -377,7 +292,7 @@ class TestCompilerCache:
         assert compiler.cache_size() <= 2
 
     def test_lru_eviction_is_byte_bounded(self):
-        """Fused superoperators are large; the cache evicts by payload bytes,
+        """Dense observables are large; the cache evicts by payload bytes,
         not just entry count."""
         one_entry = CircuitCompiler().fused_unitary(
             random_circuit(num_qubits=3, depth=3, seed=0)).nbytes
@@ -409,11 +324,11 @@ class TestCompilerCache:
     def test_compiler_pickles_without_its_cache(self):
         import pickle
 
-        compiler = CircuitCompiler(max_entries=7, max_superop_qubits=3)
+        compiler = CircuitCompiler(max_entries=7, max_bytes=1 << 20)
         compiler.fused_unitary(random_circuit(num_qubits=2, depth=3, seed=0))
         clone = pickle.loads(pickle.dumps(compiler))
         assert clone.max_entries == 7
-        assert clone.max_superop_qubits == 3
+        assert clone.max_bytes == 1 << 20
         assert clone.cache_size() == 0
 
 

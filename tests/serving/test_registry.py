@@ -179,4 +179,4 @@ class TestSharedCompilerCache:
             assert [m["model_id"] for m in diag["models"]] == ["a"]
             assert diag["models"][0]["is_default"] is True
             assert set(diag["compiler_cache"]) == {
-                "compiles", "hits", "misses", "entries", "bytes"}
+                "compiles", "hits", "misses", "fallbacks", "entries", "bytes"}

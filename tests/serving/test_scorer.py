@@ -191,6 +191,24 @@ class TestConcurrencyAndCaching:
         assert warm.compiles == compiles_after_warmup  # nothing recompiled
         assert warm.hits >= hits_before + 5 * 3  # every request reused programs
 
+    def test_noisy_one_row_requests_compile_only_once(self, tmp_path):
+        """Sample data never reaches a compiled program: the first request
+        compiles one observable per (member, level), later ones none."""
+        data = _toy_data(samples=18, features=3)
+        detector, path = _fit_and_save(
+            tmp_path, data, ensemble_groups=2, seed=5, shots=256,
+            backend="density_matrix", noisy=True, num_qubits=2)
+        levels = len(detector.config.effective_compression_levels)
+        compiler = CircuitCompiler()
+        with OnlineScorer(load_model(path), compiler=compiler) as scorer:
+            scorer.score(data[:1])
+            assert compiler.stats.compiles == 2 * levels
+            scorer.score(data[1:2])
+            scorer.score(_toy_data(samples=1, features=3, seed=9))
+        assert compiler.stats.compiles == 2 * levels
+        assert compiler.stats.hits == 2 * 2 * levels
+        assert compiler.stats.fallbacks == 0
+
     def test_analytic_requests_reuse_cached_encoders_without_compiling(
             self, tmp_path):
         data = _toy_data()

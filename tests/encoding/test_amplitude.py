@@ -129,6 +129,40 @@ class TestPreparationSchedule:
                 else:
                     assert angles[index] == row_angles[0]
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_schedule_prepares_every_row(self, num_qubits):
+        """Walking the batched schedule on statevectors, every rotation kept,
+        prepares each row's amplitudes (qubit ``q`` is bit ``q`` of the
+        basis index)."""
+        rng = np.random.default_rng(10 + num_qubits)
+        features = rng.uniform(0.0, 1.0 / np.sqrt(2 ** num_qubits),
+                               size=(6, 2 ** num_qubits - 1))
+        features[3] = 0.0
+        batch = np.stack([amplitudes_from_features(row, num_qubits)
+                          for row in features])
+        samples = batch.shape[0]
+        states = np.zeros((samples,) + (2,) * num_qubits)
+        states[(slice(None),) + (0,) * num_qubits] = 1.0
+
+        def axis(qubit):
+            return num_qubits - qubit
+
+        for qubits, angles in preparation_schedule(batch):
+            if angles is None:
+                control, target = axis(qubits[0]), axis(qubits[1])
+                states = np.moveaxis(states, (control, target), (1, 2)).copy()
+                states[:, 1] = states[:, 1, ::-1].copy()
+                states = np.moveaxis(states, (1, 2), (control, target))
+                continue
+            cosine = np.cos(angles / 2.0)
+            sine = np.sin(angles / 2.0)
+            gates = np.stack([np.stack([cosine, -sine], axis=1),
+                              np.stack([sine, cosine], axis=1)], axis=1)
+            moved = np.moveaxis(states, axis(qubits[0]), 1)
+            moved = np.einsum("sij,sj...->si...", gates, moved)
+            states = np.moveaxis(moved, 1, axis(qubits[0]))
+        assert np.max(np.abs(states.reshape(samples, -1) - batch)) <= 1e-12
+
     def test_circuit_is_the_one_row_schedule_with_elisions(self):
         amplitudes = np.zeros(8)
         amplitudes[:2] = np.sqrt(0.5)  # only qubit 0 rotates

@@ -95,6 +95,17 @@ class TestRoundTrip:
                                                     "quorum-repro"}
         assert payload["created_at"]
 
+    def test_saved_bundle_is_one_line_of_compact_json(self, fitted_detector,
+                                                      model_path):
+        text = model_path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, separators=(",", ":")) + "\n"
+        # The content digest does not depend on how the file is laid out.
+        expected = ModelArtifact.from_detector(fitted_detector).content_sha256()
+        assert load_model(model_path).content_sha256() == expected
+        model_path.write_text(json.dumps(payload, indent=1))
+        assert load_model(model_path).content_sha256() == expected
+
     def test_save_requires_a_fitted_detector(self, tmp_path):
         with pytest.raises(RuntimeError):
             save_model(QuorumDetector(ensemble_groups=2), tmp_path / "x.json")
@@ -198,6 +209,32 @@ class TestCorruptFiles:
 
         _rewrite(model_path, mutate)
         with pytest.raises(ArtifactCorruptError, match="partition"):
+            load_model(model_path)
+
+    @pytest.mark.parametrize("entry,error", [
+        (1.5, ArtifactDtypeError),
+        ("3", ArtifactDtypeError),
+        (None, ArtifactDtypeError),
+        ([1], ArtifactDtypeError),
+        (-1, ArtifactCorruptError),
+    ], ids=["fractional", "string", "null", "nested", "negative"])
+    def test_malformed_bucket_index_rejected(self, model_path, entry, error):
+        """Decoding a member's buckets as one int array keeps every per-index
+        check: each malformed entry still fails the load."""
+
+        def mutate(payload):
+            payload["members"][0]["buckets"][0][0] = entry
+
+        _rewrite(model_path, mutate)
+        with pytest.raises(error):
+            load_model(model_path)
+
+    def test_non_list_bucket_after_the_first_rejected(self, model_path):
+        def mutate(payload):
+            payload["members"][0]["buckets"][-1] = {"0": 1}
+
+        _rewrite(model_path, mutate)
+        with pytest.raises(ArtifactCorruptError, match="not a list"):
             load_model(model_path)
 
     def test_bucket_index_out_of_range_rejected(self, model_path):

@@ -38,11 +38,11 @@ def model_path(tmp_path_factory):
     return save_model(detector, tmp_path_factory.mktemp("loadtest") / "m.json")
 
 
-def _fleet_throughput(fleet, proxy):
+def _fleet_throughput(fleet, proxy, score_path):
     """The timed section: closed-loop load against an already-warm fleet."""
     probes = np.random.default_rng(3).normal(size=(2, FEATURES))
     body = json.dumps({"samples": probes.tolist()}).encode()
-    result = run_closed_loop(proxy.base_url, "/score", body,
+    result = run_closed_loop(proxy.base_url, score_path, body,
                              concurrency=CONCURRENCY, duration_s=DURATION_S,
                              warmup_s=WARMUP_S)
     result["per_replica_requests"] = proxy.request_counts()
@@ -59,9 +59,10 @@ def test_loadtest_fleet_throughput(benchmark, model_path):
             assert all(health.values()), health
             # Warm every replica's compiled-program cache outside the timing.
             with urllib.request.urlopen(proxy.base_url + "/v1/healthz",
-                                        timeout=30):
-                pass
-            result = run_once(benchmark, _fleet_throughput, fleet, proxy)
+                                        timeout=30) as response:
+                model_id = json.load(response)["default_model"]
+            result = run_once(benchmark, _fleet_throughput, fleet, proxy,
+                              f"/v1/models/{model_id}/score")
     finally:
         exit_codes = fleet.close()
 

@@ -1,4 +1,4 @@
-"""Serving round trip: ``fit --save-model`` -> ``serve`` -> ``POST /score``.
+"""Serving round trip: ``fit --save-model`` -> ``serve`` -> ``POST /v1/.../score``.
 
 Run with::
 
@@ -8,16 +8,14 @@ Fits a small ensemble, persists it as a versioned model artifact, boots the
 real ``quorum-repro serve`` CLI in a subprocess on an ephemeral localhost
 port, and drives the HTTP API with nothing but the standard library:
 
-1. ``GET /healthz``  -- liveness + model identity (legacy alias),
-2. ``POST /score``   -- score three unseen samples (legacy alias),
-3. ``POST /score`` with ``"mode": "replay"`` -- bit-identical refit-free
+1. ``GET /v1/healthz`` -- liveness and the default model's registry id,
+2. ``POST /v1/models/{id}/score`` -- score three unseen samples,
+3. the same route with ``"mode": "replay"`` -- bit-identical refit-free
    reproduction of the training-set scores,
-4. ``GET /model``    -- operator diagnostics (compiler cache counters),
-5. ``GET /v1/healthz`` + ``POST /v1/models/{id}/score`` -- the versioned API
-   serves the same model under its registry id,
-6. ``POST /v1/jobs`` (``replay_dataset``) -- submit, poll, and fetch an async
+4. ``GET /v1/models/{id}`` -- operator diagnostics (compiler cache counters),
+5. ``POST /v1/jobs`` (``replay_dataset``) -- submit, poll, and fetch an async
    replay job whose result is again bitwise identical to the fit,
-7. ``GET /v1/metrics`` -- the telemetry scrape (JSON and Prometheus text)
+6. ``GET /v1/metrics`` -- the telemetry scrape (JSON and Prometheus text)
    shows non-zero request counters and per-stage latency histograms for all
    of the traffic above.
 
@@ -80,46 +78,40 @@ def main() -> None:
         print(f"server: {startup}")
 
         # 3. Score many: drive the JSON API with the standard library only.
-        health = _get_json(base_url + "/healthz")
+        health = _get_json(base_url + "/v1/healthz")
         assert health["status"] == "ok", health
-        assert health["schema_version"] == artifact.schema_version, health
+        assert health["api_version"] == "v1", health
+        model_id = health["default_model"]
+        score_url = f"{base_url}/v1/models/{model_id}/score"
 
         unseen = dataset.features_only()[:3]
-        response = _post_json(base_url + "/score",
-                              {"samples": unseen.tolist()})
+        response = _post_json(score_url, {"samples": unseen.tolist()})
         assert response["num_samples"] == 3, response
         assert len(response["scores"]) == 3, response
         assert response["mode"] == "reference", response
-        print(f"POST /score -> {[round(s, 2) for s in response['scores']]} "
+        assert response["model_id"] == model_id, response
+        assert response["schema_version"] == artifact.schema_version, response
+        print(f"POST /v1/models/{model_id}/score -> "
+              f"{[round(s, 2) for s in response['scores']]} "
               f"({response['num_runs']} runs)")
 
-        replay = _post_json(base_url + "/score",
+        replay = _post_json(score_url,
                             {"samples": dataset.features_only().tolist(),
                              "mode": "replay"})
         replayed = np.asarray(replay["scores"])
         assert np.array_equal(replayed, expected_scores), (
             "replay scores diverged from the in-process fit")
-        print(f"POST /score mode=replay -> bitwise identical to fit "
-              f"({replayed.shape[0]} samples)")
+        print(f"POST /v1/models/{model_id}/score mode=replay -> bitwise "
+              f"identical to fit ({replayed.shape[0]} samples)")
 
-        diagnostics = _get_json(base_url + "/model")
+        diagnostics = _get_json(f"{base_url}/v1/models/{model_id}")
         cache = diagnostics["compiler_cache"]
         assert {"compiles", "hits", "misses"} <= set(cache), diagnostics
-        print(f"GET /model -> compiler cache: {cache['compiles']} compiles, "
-              f"{cache['hits']} hits over "
+        print(f"GET /v1/models/{model_id} -> compiler cache: "
+              f"{cache['compiles']} compiles, {cache['hits']} hits over "
               f"{diagnostics['serving']['requests']} requests")
 
-        # 4. The versioned API: same model, addressed by its registry id.
-        v1_health = _get_json(base_url + "/v1/healthz")
-        assert v1_health["api_version"] == "v1", v1_health
-        model_id = v1_health["default_model"]
-        v1_score = _post_json(f"{base_url}/v1/models/{model_id}/score",
-                              {"samples": unseen.tolist()})
-        assert v1_score["scores"] == response["scores"], v1_score
-        assert v1_score["model_id"] == model_id, v1_score
-        print(f"POST /v1/models/{model_id}/score -> matches legacy /score")
-
-        # 5. Async replay job: submit, poll to completion, fetch the result.
+        # 4. Async replay job: submit, poll to completion, fetch the result.
         job = _post_json(base_url + "/v1/jobs",
                          {"kind": "replay_dataset",
                           "params": {"samples":
@@ -139,7 +131,7 @@ def main() -> None:
               f"succeeded, bitwise identical to fit")
         assert job["queued_s"] is not None and job["run_s"] is not None, job
 
-        # 6. Telemetry: everything above left its mark on /v1/metrics.
+        # 5. Telemetry: everything above left its mark on /v1/metrics.
         metrics = _get_json(base_url + "/v1/metrics")
         requests_total = sum(
             entry["value"]
@@ -159,7 +151,7 @@ def main() -> None:
               f"(p95 {scoring['p95'] * 1e3:.1f} ms), "
               f"Prometheus exposition OK")
     finally:
-        # 4. Shut down cleanly: SIGTERM closes the socket and the scorer.
+        # 6. Shut down cleanly: SIGTERM closes the socket and the scorer.
         server.terminate()
         server.wait(timeout=15)
     assert server.returncode == 0, f"server exited with {server.returncode}"

@@ -138,9 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "startup)")
     serve.add_argument("--max-batch-samples", type=int, default=512,
                        help="sample budget of one coalesced micro-batch")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
+    serve.add_argument("--batch-window-ms", type=float, default=0.0,
                        help="how long to wait for concurrent requests to "
-                            "coalesce before executing a batch")
+                            "coalesce before executing a batch (default 0: "
+                            "dispatch at once when idle; requests arriving "
+                            "during a batch still coalesce)")
     serve.add_argument("--job-workers", type=int, default=2,
                        help="worker threads executing POST /v1/jobs work")
     serve.add_argument("--job-ttl", type=float, default=900.0,
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "saturation knee) used with --target-rps")
     fleet.add_argument("--max-batch-samples", type=int, default=512,
                        help="per-replica micro-batch sample budget")
-    fleet.add_argument("--batch-window-ms", type=float, default=2.0,
+    fleet.add_argument("--batch-window-ms", type=float, default=0.0,
                        help="per-replica micro-batch coalescing window")
     fleet.add_argument("--health-interval", type=float, default=1.0,
                        metavar="SECONDS", help="health-loop cadence")

@@ -18,16 +18,18 @@ The member lifecycle is split in two:
   amplitude encoding, the ``(levels x samples)`` SWAP-test sweep, shot noise,
   and bucket scoring.  It runs members in chunks of at most
   :data:`CHUNK_ROWS` (member, sample) rows, each chunk as one array pass per
-  layer: the analytic engine evaluates the
-  chunk's ``(members, samples, 2^n)`` stack with encoders from
-  :func:`~repro.algorithms.ansatz.encoder_unitaries`, and
-  :func:`~repro.core.scoring.stacked_bucket_scores` scores every
-  (member, level) pair of the chunk at once.  Engines that consume
-  randomness or noise inside the circuit (statevector trajectories, noisy
-  density matrices) keep one ``p1_levels_batch`` call per member and share
-  the stacked scoring.  :func:`repro.core.parallel.run_ensemble_members`
-  calls it in the calling process or, with ``n_jobs > 1``, in pool workers
-  against a shared-memory dataset view.
+  layer: :func:`chunk_amplitudes` encodes the chunk's
+  ``(members, samples, 2^n)`` stack, :func:`exact_chunk_p1` evaluates it (the
+  analytic engine in one stacked call with encoders from
+  :func:`~repro.algorithms.ansatz.encoder_unitaries`; density matrices one
+  ``p1_levels_batch`` per member), and :func:`chunk_bucket_scores` scores
+  every (member, level) pair of the chunk at once.  The statevector engine
+  consumes randomness during evolution, so it keeps one shot-based call per
+  member and shares the stacked scoring.  The online scorer
+  (:mod:`repro.serving.scorer`) serves requests through the same chunk
+  functions.  :func:`repro.core.parallel.run_ensemble_members` calls
+  :func:`execute_members` in the calling process or, with ``n_jobs > 1``, in
+  pool workers against a shared-memory dataset view.
 
 The plan carries the member RNG *after* its planning draws, so execution
 consumes shot-noise randomness in exactly the order the historical single-pass
@@ -48,14 +50,21 @@ import numpy as np
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz, encoder_unitaries
 from repro.core.bucketing import BucketAssignment, assign_buckets, bucket_size_for_probability
 from repro.core.config import QuorumConfig
-from repro.core.execution import apply_shot_noise, make_engine
+from repro.core.execution import (AnalyticEngine, SwapTestEngine,
+                                  apply_shot_noise, make_engine)
 from repro.core.feature_selection import select_feature_subset
 from repro.core.scoring import BucketStatistics, stacked_bucket_scores
+from repro.quantum.compiler import CircuitCompiler
 
 __all__ = [
+    "EXACT_BACKENDS",
     "EnsembleMemberResult",
     "MemberPlan",
     "batch_amplitudes",
+    "chunk_amplitudes",
+    "chunk_bucket_scores",
+    "config_engine",
+    "exact_chunk_p1",
     "plan_member",
     "execute_member",
     "execute_members",
@@ -215,6 +224,11 @@ def plan_member(num_samples: int, num_features: int, config: QuorumConfig,
 CHUNK_ROWS = 1 << 14
 
 
+#: Engines whose shot noise is one binomial draw after an exact sweep, so the
+#: sweep runs with ``shots=None`` and each caller draws the noise itself.
+EXACT_BACKENDS = ("analytic", "density_matrix")
+
+
 def members_per_chunk(num_samples: int) -> int:
     """Members of one stacked pass over ``num_samples`` samples."""
     return max(1, CHUNK_ROWS // max(1, num_samples))
@@ -246,69 +260,122 @@ def execute_member(normalized_data: np.ndarray, plan: MemberPlan,
     return execute_members(normalized_data, [plan], config)[0]
 
 
+def chunk_amplitudes(normalized_data: np.ndarray, features: np.ndarray,
+                     num_qubits: int) -> np.ndarray:
+    """``(members, samples, 2^n)`` amplitudes of a member chunk.
+
+    ``features`` is the chunk's ``(members, selected)`` feature-index matrix;
+    one gather and one :func:`batch_amplitudes` call cover every member.
+    """
+    num_samples = normalized_data.shape[0]
+    members, selected = features.shape
+    # (samples, members, features) -> one row per (member, sample) pair.
+    rows = np.swapaxes(normalized_data[:, features], 0, 1).reshape(
+        members * num_samples, selected)
+    return batch_amplitudes(rows, num_qubits).reshape(members, num_samples, -1)
+
+
+def exact_chunk_p1(engine: SwapTestEngine, amplitudes: np.ndarray,
+                   ansatzes: Sequence[RandomAutoencoderAnsatz],
+                   levels: Sequence[int],
+                   encoders: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact ``(members, levels, samples)`` P(1) of a member chunk.
+
+    The analytic engine evaluates the whole stack in one
+    :meth:`~repro.core.execution.AnalyticEngine.exact_levels_stack` call,
+    with ``encoders`` (built from ``ansatzes`` when omitted); other exact
+    engines run one ``p1_levels_batch`` per member.  ``engine`` must be exact
+    (``shots=None``): shot noise is each caller's own draw.  The fit and the
+    online scorer both compute a chunk's probabilities here.
+    """
+    if isinstance(engine, AnalyticEngine):
+        if encoders is None:
+            encoders = encoder_unitaries(ansatzes)
+        return engine.exact_levels_stack(amplitudes, encoders, levels)
+    return np.stack([engine.p1_levels_batch(member_amplitudes, ansatz, levels)
+                     for member_amplitudes, ansatz in zip(amplitudes,
+                                                          ansatzes)])
+
+
+def config_engine(config: QuorumConfig, shots: Optional[int],
+                  rng: Optional[np.random.Generator] = None,
+                  compiler: Optional[CircuitCompiler] = None
+                  ) -> SwapTestEngine:
+    """The engine ``config`` describes, with ``shots`` and ``rng``."""
+    return make_engine(
+        config.backend, shots, rng=rng, noisy=config.noisy,
+        gate_level_encoding=config.gate_level_encoding,
+        num_qubits=config.num_qubits,
+        simulation_backend=config.simulation_backend,
+        compile_circuits=config.compile_circuits,
+        compiler=compiler,
+    )
+
+
 def _execute_chunk(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
                    config: QuorumConfig) -> List[EnsembleMemberResult]:
     """Amplitudes, SWAP-test sweep, shot noise and scoring of a member chunk.
 
-    The analytic engine evaluates the whole ``(members, samples, 2^n)`` stack
-    at once.  Other engines keep one engine call per member, because their
-    randomness or noise is consumed inside the engine.  Shot noise is drawn
-    per member from the member's own RNG, in member order, exactly as a
-    member run on its own draws it.
+    Exact engines (:data:`EXACT_BACKENDS`) compute the chunk's probabilities
+    with :func:`exact_chunk_p1`; shot noise is then drawn per member from the
+    member's own RNG, in member order, exactly as a member run on its own
+    draws it.  The statevector engine consumes randomness during evolution,
+    so it keeps one shot-based engine call per member.
     """
     levels = config.effective_compression_levels
-    features = np.stack([plan.selected_features for plan in plans])
-    num_samples = normalized_data.shape[0]
-    # (samples, members, features) -> one row per (member, sample) pair.
-    selected = np.swapaxes(normalized_data[:, features], 0, 1).reshape(
-        len(plans) * num_samples, features.shape[1])
-    amplitudes = batch_amplitudes(selected, config.num_qubits).reshape(
-        len(plans), num_samples, -1)
-    if config.backend == "analytic":
-        engine = make_engine(config.backend, None,
-                             simulation_backend=config.simulation_backend)
-        exact = engine.exact_levels_stack(
-            amplitudes, encoder_unitaries([plan.ansatz for plan in plans]),
-            levels)
+    amplitudes = chunk_amplitudes(
+        normalized_data, np.stack([plan.selected_features for plan in plans]),
+        config.num_qubits)
+    ansatzes = [plan.ansatz for plan in plans]
+    if config.backend in EXACT_BACKENDS:
+        exact = exact_chunk_p1(config_engine(config, None), amplitudes,
+                               ansatzes, levels)
         p1_values = np.stack([
             apply_shot_noise(member_exact, config.shots, plan.rng)
             for member_exact, plan in zip(exact, plans)
         ])
     else:
         p1_values = np.stack([
-            make_engine(
-                config.backend, config.shots, rng=plan.rng,
-                noisy=config.noisy,
-                gate_level_encoding=config.gate_level_encoding,
-                num_qubits=config.num_qubits,
-                simulation_backend=config.simulation_backend,
-                compile_circuits=config.compile_circuits,
-            ).p1_levels_batch(member_amplitudes, plan.ansatz, levels)
+            config_engine(config, config.shots, rng=plan.rng).p1_levels_batch(
+                member_amplitudes, plan.ansatz, levels)
             for member_amplitudes, plan in zip(amplitudes, plans)
         ])
     return _score_chunk(plans, levels, p1_values)
 
 
-def _score_chunk(plans: Sequence[MemberPlan], levels: Sequence[int],
-                 p1_values: np.ndarray) -> List[EnsembleMemberResult]:
-    """Turn a chunk's ``(members, levels, samples)`` P(1) values into results.
+def chunk_bucket_scores(p1_values: np.ndarray, labels: np.ndarray,
+                        num_buckets: np.ndarray
+                        ) -> Tuple[List[BucketStatistics], np.ndarray]:
+    """Bucket statistics and per-member deviations of a member chunk.
 
-    Every (member, level) pair is scored in one :func:`stacked_bucket_scores`
-    pass.  A member's deviations are then summed level by level from zero --
-    the order :func:`repro.serving.scorer.OnlineScorer` replays them in -- so
-    fit and replay agree bitwise.
+    ``p1_values`` is ``(members, levels, samples)``, ``labels`` the members'
+    ``(members, samples)`` bucket labels and ``num_buckets`` their bucket
+    counts.  Every (member, level) run is scored in one
+    :func:`stacked_bucket_scores` pass; a member's deviations are then summed
+    level by level from zero.  The fit and the online scorer's replay mode
+    both score here, so replay reproduces the fit bitwise.  Returns the
+    member-major run statistics and the ``(members, samples)`` deviations.
     """
     members, num_levels, num_samples = p1_values.shape
-    labels = np.stack([plan.buckets.labels for plan in plans])
     references, run_deviations = stacked_bucket_scores(
         p1_values.reshape(members * num_levels, num_samples),
         np.repeat(labels, num_levels, axis=0),
-        np.repeat([plan.buckets.num_buckets for plan in plans], num_levels),
+        np.repeat(num_buckets, num_levels),
     )
     run_deviations = run_deviations.reshape(members, num_levels, num_samples)
     deviations = np.zeros((members, num_samples))
     for position in range(num_levels):
         deviations += run_deviations[:, position]
+    return references, deviations
+
+
+def _score_chunk(plans: Sequence[MemberPlan], levels: Sequence[int],
+                 p1_values: np.ndarray) -> List[EnsembleMemberResult]:
+    """Turn a chunk's ``(members, levels, samples)`` P(1) values into results."""
+    num_levels = p1_values.shape[1]
+    references, deviations = chunk_bucket_scores(
+        p1_values, np.stack([plan.buckets.labels for plan in plans]),
+        np.array([plan.buckets.num_buckets for plan in plans]))
     level_means = p1_values.mean(axis=2)
     level_stds = p1_values.std(axis=2)
     results = []

@@ -22,6 +22,7 @@ __all__ = [
     "bucket_statistics",
     "reference_deviations",
     "stacked_bucket_scores",
+    "StackedReference",
     "AnomalyScores",
 ]
 
@@ -179,8 +180,7 @@ def bucket_deviations(p1_values: np.ndarray, buckets: BucketAssignment,
 
 
 def reference_deviations(p1_values: np.ndarray, means: np.ndarray,
-                         stds: np.ndarray,
-                         live: Optional[np.ndarray] = None) -> np.ndarray:
+                         stds: np.ndarray) -> np.ndarray:
     """Deviations of (possibly unseen) samples against frozen bucket statistics.
 
     At fit time a sample belongs to exactly one random bucket and contributes
@@ -188,8 +188,8 @@ def reference_deviations(p1_values: np.ndarray, means: np.ndarray,
     its deviation is the expectation of that rule under a uniformly random
     bucket assignment: the mean over buckets of ``|p1 - mean_b| / std_b``, with
     degenerate buckets (vanishing std) contributing zero exactly as they do in
-    :func:`bucket_deviations`.  ``live`` accepts the precomputed mask from a
-    :class:`BucketStatistics` so hot serving paths skip re-deriving it.
+    :func:`bucket_deviations`.  This is the one-member case of
+    :class:`StackedReference`.
     """
     p1_values = np.asarray(p1_values, dtype=float).ravel()
     means = np.asarray(means, dtype=float).ravel()
@@ -198,16 +198,69 @@ def reference_deviations(p1_values: np.ndarray, means: np.ndarray,
         raise ValueError("means and stds must have the same length")
     if means.size == 0:
         raise ValueError("reference statistics cannot be empty")
-    if live is None:
-        live = stds >= _MIN_STD
-    else:
-        live = np.asarray(live, dtype=bool).ravel()
-        if live.shape != stds.shape:
-            raise ValueError("live mask must match the statistics length")
+    live = stds >= _MIN_STD
     if not np.any(live):
         return np.zeros_like(p1_values)
     scores = np.abs(p1_values[:, None] - means[None, live]) / stds[None, live]
     return scores.sum(axis=1) / float(means.size)
+
+
+class StackedReference:
+    """One compression level's frozen reference statistics for many members.
+
+    Built once from each member's :class:`BucketStatistics` at that level,
+    it scores a ``(members, samples)`` stack of P(1) values the way
+    :func:`reference_deviations` scores one member, bitwise.  Each member's
+    dead buckets are dropped and members are grouped by their live-bucket
+    count, so every group is one ``(members, samples, live)`` array pass
+    that sums exactly the terms :func:`reference_deviations` sums, in the
+    same order.  A member with no live bucket belongs to no group and
+    scores zero.
+    """
+
+    def __init__(self, statistics: Sequence[BucketStatistics]) -> None:
+        if not statistics:
+            raise ValueError("at least one member's statistics are required")
+        self.num_buckets = np.array([stats.num_buckets for stats in statistics],
+                                    dtype=float)
+        if not np.all(self.num_buckets > 0):
+            raise ValueError("reference statistics cannot be empty")
+        live_counts = np.array([int(stats.live.sum()) for stats in statistics])
+        #: ``(members, means, stds)`` per live-bucket count: ascending member
+        #: indices and their live buckets' ``(members, live)`` moments.
+        self.groups: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for count in np.unique(live_counts[live_counts > 0]):
+            members = np.flatnonzero(live_counts == count)
+            self.groups.append((
+                members,
+                np.stack([statistics[m].means[statistics[m].live]
+                          for m in members]),
+                np.stack([statistics[m].stds[statistics[m].live]
+                          for m in members]),
+            ))
+
+    def deviations(self, p1_values: np.ndarray, start: int = 0) -> np.ndarray:
+        """Deviations of members ``start .. start + len(p1_values)``.
+
+        ``p1_values`` is ``(members, samples)``; row ``i`` belongs to member
+        ``start + i``.  The ``(members, samples, live)`` temporary of each
+        group is computed in place.
+        """
+        p1_values = np.asarray(p1_values, dtype=float)
+        deviations = np.zeros_like(p1_values)
+        stop = start + p1_values.shape[0]
+        for members, means, stds in self.groups:
+            low, high = np.searchsorted(members, (start, stop))
+            if low == high:
+                continue
+            chosen = members[low:high]
+            scores = (p1_values[chosen - start, :, None]
+                      - means[low:high, None, :])
+            np.abs(scores, out=scores)
+            scores /= stds[low:high, None, :]
+            deviations[chosen - start] = (scores.sum(axis=2)
+                                          / self.num_buckets[chosen, None])
+        return deviations
 
 
 @dataclass

@@ -8,8 +8,9 @@ is the score-many half:
   as a versioned JSON bundle that restores in a fresh process without
   refitting.
 * :mod:`repro.serving.scorer` -- :class:`OnlineScorer` scores unseen samples
-  against the frozen ensemble, coalescing concurrent requests into fused
-  micro-batches while keeping results bitwise independent of batching.
+  against the frozen ensemble in stacked member chunks, coalescing
+  concurrent requests into micro-batches while keeping results bitwise
+  independent of batching.
 * :mod:`repro.serving.models` -- typed request/response models and the
   stable error codes of the versioned ``/v1`` HTTP API.
 * :mod:`repro.serving.registry` -- :class:`ModelRegistry`: several loaded
@@ -21,8 +22,8 @@ is the score-many half:
   sessions (``dedicated`` sequential-deterministic vs ``batch``
   micro-batched) with idle TTL expiry.
 * :mod:`repro.serving.server` -- the stdlib-only ``quorum-repro serve``
-  HTTP service fronting all of the above under ``/v1/`` (legacy ``/score``,
-  ``/healthz``, ``/model`` kept as deprecated aliases); see ``docs/API.md``.
+  HTTP service fronting all of the above under ``/v1/``; see
+  ``docs/API.md``.
 * :mod:`repro.serving.proxy` -- :class:`RoundRobinProxy`: a request-level
   round-robin HTTP proxy fanning one client-facing port across K replica
   backends, with health checks, failover, and per-replica request counts.

@@ -191,7 +191,14 @@ class MemberArtifact:
         )
 
     def restored_rng(self) -> np.random.Generator:
-        """A fresh generator positioned exactly after the member's planning draws."""
+        """A fresh generator positioned exactly after the member's planning draws.
+
+        Decodes ``rng_state``, so it is used only where a generator must be
+        new: to validate the state at load, for the per-member generators an
+        :class:`~repro.serving.scorer.OnlineScorer` builds once (a request
+        resets those to their pristine state instead of calling this), and
+        for the seeds of a dedicated session.
+        """
         state = json.loads(json.dumps(self.rng_state))  # defensive deep copy
         bit_generator_name = state.get("bit_generator", "PCG64")
         bit_generator_cls = getattr(np.random, str(bit_generator_name), None)

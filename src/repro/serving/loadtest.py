@@ -336,7 +336,7 @@ class ReplicaProcess:
 
 def spawn_replica(model_path: Union[str, Path], *,
                   host: str = "127.0.0.1",
-                  batch_window_ms: float = 2.0,
+                  batch_window_ms: float = 0.0,
                   max_batch_samples: int = 512,
                   startup_timeout_s: float = 120.0,
                   debug_hooks: bool = False,
@@ -440,7 +440,7 @@ class ReplicaFleet:
     """
 
     def __init__(self, model_path: Union[str, Path], replicas: int = 1, *,
-                 batch_window_ms: float = 2.0, max_batch_samples: int = 512,
+                 batch_window_ms: float = 0.0, max_batch_samples: int = 512,
                  host: str = "127.0.0.1",
                  startup_timeout_s: float = 120.0,
                  debug_hooks: bool = False) -> None:

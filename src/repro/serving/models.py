@@ -155,7 +155,7 @@ def _choice(value: str, choices: Tuple[str, ...], what: str) -> str:
 # ------------------------------------------------------------------- requests
 @dataclass
 class ScoreRequest:
-    """Body of ``POST /v1/models/{id}/score`` (and the legacy ``/score``).
+    """Body of ``POST /v1/models/{id}/score``.
 
     ``samples`` stays the raw nested-list payload -- numeric/shape validation
     belongs to the scorer, which knows the model's feature width.
@@ -287,19 +287,15 @@ class ScoreResponse:
     model_id: str
     schema_version: int
 
-    def to_json(self, legacy: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+    def to_json(self) -> Dict[str, object]:
+        return {
             "scores": list(self.scores),
             "num_runs": self.num_runs,
             "num_samples": self.num_samples,
             "mode": self.mode,
             "schema_version": self.schema_version,
+            "model_id": self.model_id,
         }
-        if not legacy:
-            # The pre-/v1 response never carried a model id; the deprecated
-            # alias keeps emitting byte-for-byte the shape old clients parse.
-            payload["model_id"] = self.model_id
-        return payload
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ScoreResponse":
@@ -445,7 +441,7 @@ class SessionListResponse:
 
 @dataclass
 class HealthResponse:
-    """``GET /v1/healthz`` -- richer than the legacy probe (which is frozen)."""
+    """``GET /v1/healthz`` -- liveness plus registry/job/session counts."""
 
     status: str
     api_version: str

@@ -6,36 +6,49 @@ and answers score requests without refitting.  Two scoring modes exist:
 * ``"reference"`` (default, the online mode): each member's SWAP-test outputs
   for the new samples are compared against the *fit-time* bucket reference
   statistics frozen in the artifact
-  (:func:`repro.core.scoring.reference_deviations`).
+  (:class:`repro.core.scoring.StackedReference`, bitwise the per-member
+  :func:`repro.core.scoring.reference_deviations`).
 * ``"replay"``: the request must contain exactly the training set (same
   sample count and order); deviations are computed with the saved bucket
-  partitions, reproducing ``QuorumDetector.anomaly_scores()`` **bitwise** for
-  fixed seeds.
+  partitions by the fit's own kernel
+  (:func:`repro.core.ensemble.chunk_bucket_scores`), reproducing
+  ``QuorumDetector.anomaly_scores()`` **bitwise** for fixed seeds.
+
+Execution
+---------
+A request runs the way the fit runs a member chunk: members go in chunks of
+:func:`~repro.core.ensemble.members_per_chunk` of the request's rows, and
+each chunk is one gather plus one amplitude encoding, then one exact sweep
+(:func:`~repro.core.ensemble.exact_chunk_p1`: a single
+``exact_levels_stack`` call for the analytic engine, one ``p1_levels_batch``
+per member for density matrices), then shot noise and one stacked scoring
+pass.  Everything per member that does not depend on the request -- the
+feature-selection matrix, the encoder stack, the reference statistics, the
+bucket labels, the post-planning RNG state -- is built once at load.
 
 Determinism and micro-batching
 ------------------------------
 For the analytic and density-matrix engines, shot noise is a single binomial
 draw applied *after* the exact probability sweep.  The scorer exploits this:
 the expensive linear algebra runs **exactly** (``shots=None``), and each
-request's shot noise is drawn afterwards from a generator restored from the
-member's persisted post-planning RNG state.  Two consequences:
+request's shot noise is drawn afterwards, one member at a time, from that
+member's generator reset to its persisted post-planning state (the
+generators are shared, so resets and draws happen under the engine lock).
+Two consequences:
 
 * a request's scores depend only on its own samples -- concurrent submissions
-  coalesced into one fused batch are bitwise identical to serial submission;
+  coalesced into one batch are bitwise identical to serial submission;
 * one request containing the whole training set consumes the RNG exactly as
   ``fit`` did, which is what makes the replay mode bitwise.
 
-The micro-batching queue (:meth:`OnlineScorer.submit`) coalesces concurrent
-requests into one ``(levels x samples)`` fused batch per ensemble member, so
-the per-request marginal cost is the sample-dependent prefix plus one matmul
-per compression level -- each member's encoder unitary is built once and
-cached on its ansatz, and circuit-level engines take their compiled suffix
-observables from the process-wide compiler cache; both are reused across
-requests.
+The micro-batching queue (:meth:`OnlineScorer.submit`) dispatches a request
+at once when the worker is idle; requests that arrive while a batch runs
+coalesce into the next one, whose rows share every chunk's exact sweep.
 
 The trajectory-sampled statevector engine consumes randomness *during*
-evolution, so its requests are executed one at a time (each with a freshly
-restored member RNG); they still flow through the same queue.
+evolution, so its requests are executed one at a time, one engine call per
+member on the member's reset generator; they still flow through the same
+queue.
 """
 
 from __future__ import annotations
@@ -48,23 +61,21 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.bucketing import BucketAssignment
+from repro.algorithms.ansatz import encoder_unitaries
 from repro.core.config import QuorumConfig
-from repro.core.ensemble import batch_amplitudes
-from repro.core.execution import SwapTestEngine, apply_shot_noise, make_engine
-from repro.core.scoring import (BucketStatistics, bucket_deviations,
-                                reference_deviations)
+from repro.core.ensemble import (EXACT_BACKENDS, chunk_amplitudes,
+                                 chunk_bucket_scores, config_engine,
+                                 exact_chunk_p1, members_per_chunk)
+from repro.core.execution import apply_shot_noise
+from repro.core.scoring import BucketStatistics, StackedReference
 from repro.quantum.compiler import CircuitCompiler, default_compiler
-from repro.serving.artifact import MemberArtifact, ModelArtifact
+from repro.serving.artifact import ModelArtifact
 from repro.serving.telemetry import MetricsRegistry, default_registry
 
 __all__ = ["ScoreResult", "OnlineScorer", "SCORING_MODES"]
 
 #: Modes accepted by :meth:`OnlineScorer.score` / :meth:`OnlineScorer.submit`.
 SCORING_MODES = ("reference", "replay")
-
-#: Engines whose shot noise is separable from the exact sweep (see module doc).
-_FUSABLE_BACKENDS = ("analytic", "density_matrix")
 
 
 @dataclass
@@ -97,24 +108,6 @@ class ScoreResult:
     timings: Optional[Dict[str, float]] = None
 
 
-@dataclass
-class _Member:
-    """Precomputed per-member serving state."""
-
-    artifact: MemberArtifact
-    selected_features: np.ndarray
-    ansatz: object
-    buckets: BucketAssignment
-    #: Frozen per-level reference statistics; the degenerate-bucket mask is
-    #: hoisted into the :class:`BucketStatistics` once at load time instead of
-    #: being re-derived on every request.
-    reference: Dict[int, BucketStatistics]
-
-    def fresh_rng(self) -> np.random.Generator:
-        """A generator positioned exactly after the member's planning draws."""
-        return self.artifact.restored_rng()
-
-
 class _Request:
     """One queued scoring request (normalized rows + completion future)."""
 
@@ -125,6 +118,16 @@ class _Request:
         self.mode = mode
         self.future: "Future[ScoreResult]" = Future()
         self.enqueued_at = time.perf_counter()
+
+
+def _add_members(total: np.ndarray, deviations: np.ndarray) -> np.ndarray:
+    """``total`` plus each row of ``deviations``, one member after another.
+
+    The detector adds member deviations one at a time, in member order; a
+    cumulative sum is that sequential order, which a reduction over the
+    member axis does not promise (float addition is not associative).
+    """
+    return np.cumsum(np.concatenate([total[None], deviations]), axis=0)[-1]
 
 
 class OnlineScorer:
@@ -146,9 +149,9 @@ class OnlineScorer:
         contain; requests beyond it wait for the next batch.
     batch_window_s:
         How long the worker waits after the first queued request for more
-        requests to arrive before executing the batch.  A couple of
-        milliseconds is enough to coalesce a concurrent burst without adding
-        visible latency to a lone request.
+        requests to arrive before executing the batch.  The default 0
+        dispatches at once when the worker is idle; requests that arrive
+        while a batch runs still coalesce into the next batch.
     metrics:
         Telemetry registry the stage-latency histograms and serving counters
         land in; defaults to the process-global registry (what
@@ -160,7 +163,7 @@ class OnlineScorer:
                  compile_circuits: Optional[bool] = None,
                  compiler: Optional[CircuitCompiler] = None,
                  max_batch_samples: int = 512,
-                 batch_window_s: float = 0.002,
+                 batch_window_s: float = 0.0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if max_batch_samples < 1:
             raise ValueError("max_batch_samples must be positive")
@@ -182,32 +185,41 @@ class OnlineScorer:
         self.max_batch_samples = int(max_batch_samples)
         self.batch_window_s = float(batch_window_s)
 
-        self._members: List[_Member] = [
-            _Member(
-                artifact=member,
-                selected_features=np.asarray(member.selected_features, dtype=int),
-                ansatz=member.build_ansatz(config),
-                buckets=member.bucket_assignment(),
-                reference={int(level): BucketStatistics(
-                               means=np.asarray(means, dtype=float),
-                               stds=np.asarray(stds, dtype=float))
-                           for level, (means, stds) in member.reference.items()},
-            )
-            for member in artifact.members
+        # Per-member state, built once and stacked member-major.
+        members = artifact.members
+        self._ansatzes = [member.build_ansatz(config) for member in members]
+        self._features = np.stack([
+            np.asarray(member.selected_features, dtype=int)
+            for member in members])
+        self._labels = np.stack([member.bucket_assignment().labels
+                                 for member in members])
+        self._num_buckets = np.array([len(member.buckets)
+                                      for member in members])
+        self._references = [
+            StackedReference([BucketStatistics(*member.reference[level])
+                              for member in members])
+            for level in self.levels
         ]
-        self._fusable = config.backend in _FUSABLE_BACKENDS
-        self._exact_engine: Optional[SwapTestEngine] = None
-        if self._fusable:
-            # Exact probabilities only -- per-request shot noise is applied
-            # afterwards from each member's restored RNG, which is what makes
-            # coalesced and serial submission bitwise identical.
-            self._exact_engine = self._build_engine(shots=None)
+        # One generator per member plus its pristine post-planning state; a
+        # request resets the generator instead of decoding the artifact's
+        # state again.
+        self._rngs = [member.restored_rng() for member in members]
+        self._rng_states = [rng.bit_generator.state for rng in self._rngs]
+        self._fusable = config.backend in EXACT_BACKENDS
+        # Exact probabilities only -- per-request shot noise is applied
+        # afterwards from each member's reset generator, which is what makes
+        # coalesced and serial submission bitwise identical.
+        self._exact_engine = (config_engine(config, None,
+                                            compiler=self.compiler)
+                              if self._fusable else None)
+        self._encoders = (encoder_unitaries(self._ansatzes)
+                          if config.backend == "analytic" else None)
 
         self._lock = threading.Lock()
-        # Serializes access to the shared exact engine: the micro-batch worker
-        # thread and stateful callers (dedicated sessions, job workers) may
-        # sweep concurrently, and engine-internal per-member caches are not
-        # synchronized.
+        # Serializes the shared exact engine and the shared member
+        # generators: the micro-batch worker thread and stateful callers
+        # (dedicated sessions, job workers) may score concurrently, and
+        # neither engine-internal caches nor generators are synchronized.
         self._engine_lock = threading.Lock()
         self._queue: List[_Request] = []
         self._queue_cond = threading.Condition(self._lock)
@@ -235,20 +247,6 @@ class OnlineScorer:
             "scoring_shot_noise_seconds",
             "per-member shot-noise draws + deviation scoring")
 
-    # ------------------------------------------------------------ engine setup
-    def _build_engine(self, shots: Optional[int],
-                      rng: Optional[np.random.Generator] = None
-                      ) -> SwapTestEngine:
-        config = self.config
-        return make_engine(
-            config.backend, shots, rng=rng, noisy=config.noisy,
-            gate_level_encoding=config.gate_level_encoding,
-            num_qubits=config.num_qubits,
-            simulation_backend=config.simulation_backend,
-            compile_circuits=config.compile_circuits,
-            compiler=self.compiler,
-        )
-
     # ---------------------------------------------------------------- scoring
     def _normalize(self, features: Union[np.ndarray, Sequence]) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -264,66 +262,106 @@ class OnlineScorer:
             )
         return self.normalizer.transform(features)
 
-    def _member_amplitudes(self, member: _Member,
-                           normalized: np.ndarray) -> np.ndarray:
-        return batch_amplitudes(normalized[:, member.selected_features],
-                                self.config.num_qubits)
+    def _member_rng(self, index: int,
+                    rngs: Optional[List[np.random.Generator]]
+                    ) -> np.random.Generator:
+        """Member ``index``'s generator: the caller's, or the shared one
+        reset to its post-planning state (call under the engine lock)."""
+        if rngs is not None:
+            return rngs[index]
+        rng = self._rngs[index]
+        rng.bit_generator.state = self._rng_states[index]
+        return rng
 
-    def _exact_member_p1(self, normalized: np.ndarray) -> List[np.ndarray]:
-        """Exact ``(levels, samples)`` probabilities, one array per member."""
-        engine = self._exact_engine
-        assert engine is not None
-        with self._engine_lock:
-            return [
-                engine.p1_levels_batch(
-                    self._member_amplitudes(member, normalized),
-                    member.ansatz, self.levels)
-                for member in self._members
-            ]
+    def _chunk_p1(self, normalized: np.ndarray, start: int, stop: int,
+                  rngs: Optional[List[np.random.Generator]]) -> np.ndarray:
+        """``(members, levels, rows)`` P(1) of members ``start .. stop``.
 
-    def _finalize(self, member_p1: List[np.ndarray], mode: str,
-                  shot_noise: bool,
-                  rngs: Optional[List[np.random.Generator]] = None
-                  ) -> ScoreResult:
-        """Turn per-member P(1) sweeps for ONE request into summed deviations.
-
-        ``shot_noise=True`` applies each member's binomial draws here (the
-        fusable path computed exact probabilities); ``False`` means the engine
-        already sampled shots during evolution (statevector trajectories).
-        ``rngs`` substitutes caller-owned generators (consumed in place) for
-        the per-request restored ones -- the stateful-session path.
+        Exact for the fusable engines; trajectory engines draw their shots
+        during evolution, from each member's generator.
         """
-        num_samples = member_p1[0].shape[1]
-        self._check_replay_size(num_samples, mode)
-        finalize_start = time.perf_counter()
-        total = np.zeros(num_samples)
-        runs = 0
-        for index, (member, p1_sweep) in enumerate(zip(self._members,
-                                                       member_p1)):
-            if shot_noise:
-                rng = rngs[index] if rngs is not None else member.fresh_rng()
-                p1_sweep = apply_shot_noise(p1_sweep, self.config.shots, rng)
-            # Accumulate each member's levels into its own vector first, then
-            # add members together -- the exact summation order the detector
-            # uses, so replay-mode scores match `fit` bitwise (float addition
-            # is not associative).
-            member_total = np.zeros(num_samples)
-            for position, level in enumerate(self.levels):
-                level_p1 = p1_sweep[position]
-                if mode == "replay":
-                    member_total += bucket_deviations(level_p1, member.buckets)
-                else:
-                    reference = member.reference[level]
-                    member_total += reference_deviations(
-                        level_p1, reference.means, reference.stds,
-                        live=reference.live)
-                runs += 1
-            total += member_total
-        shot_noise_s = time.perf_counter() - finalize_start
-        self._h_shot_noise.observe(shot_noise_s)
-        return ScoreResult(scores=total, num_runs=runs, mode=mode,
-                           num_samples=num_samples,
-                           timings={"shot_noise": shot_noise_s})
+        amplitudes = chunk_amplitudes(normalized, self._features[start:stop],
+                                      self.config.num_qubits)
+        ansatzes = self._ansatzes[start:stop]
+        if self._fusable:
+            encoders = (None if self._encoders is None
+                        else self._encoders[start:stop])
+            return exact_chunk_p1(self._exact_engine, amplitudes, ansatzes,
+                                  self.levels, encoders)
+        return np.stack([
+            config_engine(self.config, self.config.shots,
+                          rng=self._member_rng(start + offset, rngs),
+                          compiler=self.compiler).p1_levels_batch(
+                member_amplitudes, ansatz, self.levels)
+            for offset, (member_amplitudes, ansatz)
+            in enumerate(zip(amplitudes, ansatzes))
+        ])
+
+    def _shot_noise(self, exact: np.ndarray, start: int,
+                    rngs: Optional[List[np.random.Generator]]) -> np.ndarray:
+        """One binomial draw per member, each on the member's own stream."""
+        shots = self.config.shots
+        if shots is None:
+            return exact
+        return np.stack([
+            apply_shot_noise(member_exact, shots,
+                             self._member_rng(start + offset, rngs))
+            for offset, member_exact in enumerate(exact)
+        ])
+
+    def _deviations(self, p1_values: np.ndarray, start: int,
+                    mode: str) -> np.ndarray:
+        """``(members, rows)`` deviations, each member's levels summed from
+        zero in level order, as the fit sums them."""
+        if mode == "replay":
+            stop = start + p1_values.shape[0]
+            return chunk_bucket_scores(p1_values, self._labels[start:stop],
+                                       self._num_buckets[start:stop])[1]
+        deviations = np.zeros((p1_values.shape[0], p1_values.shape[2]))
+        for position, reference in enumerate(self._references):
+            deviations += reference.deviations(p1_values[:, position], start)
+        return deviations
+
+    def _run(self, normalized: np.ndarray,
+             requests: Sequence[Tuple[slice, str]],
+             rngs: Optional[List[np.random.Generator]] = None
+             ) -> List[ScoreResult]:
+        """Score each ``(row window, mode)`` request of ``normalized``.
+
+        One pass over member chunks serves every request: the requests share
+        each chunk's sweep, and each draws its own shot noise and scores its
+        own rows.  Trajectory engines take exactly one request.
+        """
+        num_members = len(self._ansatzes)
+        totals = [np.zeros(window.stop - window.start)
+                  for window, _ in requests]
+        scoring_s = [0.0] * len(requests)
+        engine_s = 0.0
+        size = members_per_chunk(normalized.shape[0])
+        with self._engine_lock:
+            for start in range(0, num_members, size):
+                stop = min(start + size, num_members)
+                begin = time.perf_counter()
+                p1_values = self._chunk_p1(normalized, start, stop, rngs)
+                engine_s += time.perf_counter() - begin
+                for index, (window, mode) in enumerate(requests):
+                    begin = time.perf_counter()
+                    request_p1 = p1_values[:, :, window]
+                    if self._fusable:
+                        request_p1 = self._shot_noise(request_p1, start, rngs)
+                    totals[index] = _add_members(
+                        totals[index],
+                        self._deviations(request_p1, start, mode))
+                    scoring_s[index] += time.perf_counter() - begin
+        self._h_engine.observe(engine_s)
+        results = []
+        for (_, mode), total, noise_s in zip(requests, totals, scoring_s):
+            self._h_shot_noise.observe(noise_s)
+            results.append(ScoreResult(
+                scores=total, num_runs=num_members * len(self.levels),
+                mode=mode, num_samples=total.shape[0],
+                timings={"engine_compute": engine_s, "shot_noise": noise_s}))
+        return results
 
     @staticmethod
     def _merge_timings(result: ScoreResult,
@@ -333,39 +371,20 @@ class OnlineScorer:
         result.timings = merged
         return result
 
-    def _count_request(self, result: ScoreResult) -> None:
+    def _count_request(self, result: ScoreResult) -> ScoreResult:
         with self._lock:
             self._stats["requests"] += 1
             self._stats["samples"] += result.num_samples
         self._m_requests.inc()
         self._m_samples.inc(result.num_samples)
-
-    def _score_rows(self, normalized: np.ndarray, mode: str) -> ScoreResult:
-        engine_start = time.perf_counter()
-        if self._fusable:
-            member_p1 = self._exact_member_p1(normalized)
-            engine_s = time.perf_counter() - engine_start
-            self._h_engine.observe(engine_s)
-            result = self._merge_timings(
-                self._finalize(member_p1, mode, shot_noise=True),
-                {"engine_compute": engine_s})
-        else:
-            # Shot-based engine: randomness is consumed during evolution, so
-            # each member runs with its own freshly restored RNG per request.
-            member_p1 = []
-            for member in self._members:
-                engine = self._build_engine(self.config.shots,
-                                            rng=member.fresh_rng())
-                member_p1.append(engine.p1_levels_batch(
-                    self._member_amplitudes(member, normalized),
-                    member.ansatz, self.levels))
-            engine_s = time.perf_counter() - engine_start
-            self._h_engine.observe(engine_s)
-            result = self._merge_timings(
-                self._finalize(member_p1, mode, shot_noise=False),
-                {"engine_compute": engine_s})
-        self._count_request(result)
         return result
+
+    def _score_rows(self, normalized: np.ndarray, mode: str,
+                    rngs: Optional[List[np.random.Generator]] = None
+                    ) -> ScoreResult:
+        result, = self._run(normalized,
+                            [(slice(0, normalized.shape[0]), mode)], rngs)
+        return self._count_request(result)
 
     def score(self, features: Union[np.ndarray, Sequence],
               mode: str = "reference") -> ScoreResult:
@@ -384,16 +403,17 @@ class OnlineScorer:
         member RNG streams advance across the session exactly as one long
         fit-time sweep would.
         """
-        return [member.fresh_rng() for member in self._members]
+        return [member.restored_rng() for member in self.artifact.members]
 
     def score_stateful(self, features: Union[np.ndarray, Sequence],
                        rngs: List[np.random.Generator],
                        mode: str = "reference") -> ScoreResult:
         """Score with caller-owned per-member generators, consumed in place.
 
-        Unlike :meth:`score` (which restores each member's RNG from the
-        artifact *per request*, making requests independent), this advances
-        the supplied generators -- the contract dedicated sessions build on:
+        Unlike :meth:`score` (which resets each member's generator to its
+        post-planning state *per request*, making requests independent),
+        this advances the supplied generators -- the contract dedicated
+        sessions build on:
 
         * the **first** request of a fresh generator set consumes the RNG
           exactly like :meth:`score`, so a full-training-set ``replay`` as
@@ -405,36 +425,22 @@ class OnlineScorer:
         one generator set would interleave draws nondeterministically.
         """
         self._check_mode(mode)
-        if len(rngs) != len(self._members):
+        if len(rngs) != len(self._ansatzes):
             raise ValueError(
-                f"expected {len(self._members)} member generators, "
+                f"expected {len(self._ansatzes)} member generators, "
                 f"got {len(rngs)}")
         normalized = self._normalize(features)
         self._check_replay_size(normalized.shape[0], mode)
-        if self._fusable:
-            result = self._finalize(self._exact_member_p1(normalized), mode,
-                                    shot_noise=True, rngs=rngs)
-        else:
-            # Trajectory engines consume the generator during evolution, so
-            # handing the session's generator to the engine *is* the sticky
-            # stream (no post-hoc noise application).
-            member_p1 = []
-            for member, rng in zip(self._members, rngs):
-                engine = self._build_engine(self.config.shots, rng=rng)
-                member_p1.append(engine.p1_levels_batch(
-                    self._member_amplitudes(member, normalized),
-                    member.ansatz, self.levels))
-            result = self._finalize(member_p1, mode, shot_noise=False)
-        self._count_request(result)
-        return result
+        return self._score_rows(normalized, mode, rngs=rngs)
 
     # ----------------------------------------------------------- micro-batching
     def submit(self, features: Union[np.ndarray, Sequence],
                mode: str = "reference") -> "Future[ScoreResult]":
         """Queue a request for micro-batched execution; returns a future.
 
-        Concurrent submissions are coalesced into one fused batch per member;
-        results are bitwise identical to calling :meth:`score` per request.
+        Concurrent submissions are coalesced into one batch that shares each
+        member chunk's sweep; results are bitwise identical to calling
+        :meth:`score` per request.
         """
         self._check_mode(mode)
         normalized = self._normalize(features)
@@ -487,8 +493,9 @@ class OnlineScorer:
                     self._queue_cond.wait()
                 if self._closed and not self._queue:
                     return
-            # Let a concurrent burst accumulate before draining, so the fused
-            # batch amortizes the per-member sweep over many requests.
+            # An optional window lets a concurrent burst accumulate before
+            # draining; without it, requests that arrive while a batch runs
+            # form the next batch.
             if self.batch_window_s:
                 time.sleep(self.batch_window_s)
             with self._queue_cond:
@@ -503,14 +510,15 @@ class OnlineScorer:
             return
         batch_start = time.perf_counter()
         queue_waits = {id(request): batch_start - request.enqueued_at
-                      for request in batch}
+                       for request in batch}
         for wait_s in queue_waits.values():
             self._h_queue_wait.observe(wait_s)
         with self._lock:
             self._stats["batches"] += 1
             self._stats["coalesced_requests"] += len(batch)
         self._m_batches.inc()
-        if not self._fusable or len(batch) == 1:
+        if not self._fusable:
+            # Trajectory engines draw during evolution: one request at a time.
             for request in batch:
                 self._resolve(
                     request,
@@ -521,12 +529,15 @@ class OnlineScorer:
         try:
             assembly_start = time.perf_counter()
             stacked = np.concatenate([request.normalized for request in batch])
+            windows = []
+            offset = 0
+            for request in batch:
+                rows = request.normalized.shape[0]
+                windows.append((slice(offset, offset + rows), request.mode))
+                offset += rows
             assembly_s = time.perf_counter() - assembly_start
             self._h_assembly.observe(assembly_s)
-            engine_start = time.perf_counter()
-            member_p1 = self._exact_member_p1(stacked)
-            engine_s = time.perf_counter() - engine_start
-            self._h_engine.observe(engine_s)
+            results = self._run(stacked, windows)
         except Exception as error:  # pragma: no cover - defensive
             for request in batch:
                 if not request.future.cancelled():
@@ -535,29 +546,14 @@ class OnlineScorer:
                     except Exception:
                         pass
             return
-        offset = 0
-        for request in batch:
-            rows = request.normalized.shape[0]
-            window = slice(offset, offset + rows)
-            offset += rows
-            slices = [p1[:, window] for p1 in member_p1]
+        for request, result in zip(batch, results):
             # Batch-level spans (assembly, engine) are shared by every
             # coalesced request; queue wait is each request's own.
             stages = {"queue_wait": queue_waits[id(request)],
-                      "batch_assembly": assembly_s,
-                      "engine_compute": engine_s}
+                      "batch_assembly": assembly_s}
             self._resolve(request,
-                          lambda s=slices, req=request, t=stages:
-                          self._finalize_counted(s, req.mode, t))
-
-    def _finalize_counted(self, member_p1: List[np.ndarray], mode: str,
-                          stage_timings: Optional[Dict[str, float]] = None
-                          ) -> ScoreResult:
-        result = self._finalize(member_p1, mode, shot_noise=True)
-        if stage_timings:
-            result = self._merge_timings(result, stage_timings)
-        self._count_request(result)
-        return result
+                          lambda r=result, t=stages: self._count_request(
+                              self._merge_timings(r, t)))
 
     @staticmethod
     def _resolve(request: _Request, producer) -> None:
@@ -600,9 +596,10 @@ class OnlineScorer:
     def diagnostics(self) -> Dict[str, object]:
         """Operator diagnostics: model summary, serving counters, cache stats.
 
-        Served verbatim by ``GET /model`` so operators can verify warm-cache
-        serving (``compiler_cache.hits`` growing while ``compiles`` stays
-        flat across requests).
+        ``GET /v1/models/{id}`` serves the ``serving`` and
+        ``compiler_cache`` blocks so operators can verify warm-cache serving
+        (``compiler_cache.hits`` growing while ``compiles`` stays flat across
+        requests).
         """
         with self._lock:
             serving = dict(self._stats)

@@ -21,11 +21,6 @@ span breakdown on the ``X-Timing`` response header.  All requests are
 recorded into the runtime's :class:`~repro.serving.telemetry.MetricsRegistry`
 (counts by route/method/status, error counts by code, latency histograms).
 
-The pre-``/v1`` routes (``POST /score``, ``GET /healthz``, ``GET /model``)
-remain as thin **deprecated aliases** over the default model: responses are
-byte-compatible with the original single-model server and carry a
-``Deprecation`` header pointing at the ``/v1`` successor.
-
 Every handler decodes its body into a typed request model
 (:mod:`repro.serving.models`), calls a manager, and encodes a typed
 response -- the router below owns all HTTP mechanics (body limits, 405 with
@@ -238,54 +233,44 @@ class QuorumHTTPServer(ThreadingHTTPServer):
         self.runtime.close()
 
 
-# Route table: (compiled path pattern, {method: handler attribute}, legacy?,
-# route template).  A path that matches a pattern but not a listed method is
-# a 405 with an ``Allow`` header; a path matching nothing is a 404
-# ``not_found``.  The template is the stable, low-cardinality ``route`` label
-# metrics carry (``/v1/jobs/{id}``, never the raw path with its unbounded
-# ids).
-_LEGACY_SUCCESSORS = {
-    "/score": "/v1/models/{id}/score",
-    "/healthz": "/v1/healthz",
-    "/model": "/v1/models/{id}",
-}
-
+# Route table: (compiled path pattern, {method: handler attribute}, route
+# template).  A path that matches a pattern but not a listed method is a 405
+# with an ``Allow`` header; a path matching nothing is a 404 ``not_found``.
+# The template is the stable, low-cardinality ``route`` label metrics carry
+# (``/v1/jobs/{id}``, never the raw path with its unbounded ids).
 _ROUTES = (
     (re.compile(r"^/v1/healthz$"),
-     {"GET": "_v1_health"}, False, "/v1/healthz"),
+     {"GET": "_v1_health"}, "/v1/healthz"),
     (re.compile(r"^/v1/metrics$"),
-     {"GET": "_v1_metrics"}, False, "/v1/metrics"),
+     {"GET": "_v1_metrics"}, "/v1/metrics"),
     (re.compile(r"^/v1/models$"),
-     {"GET": "_v1_models_list", "POST": "_v1_models_load"}, False,
+     {"GET": "_v1_models_list", "POST": "_v1_models_load"},
      "/v1/models"),
     (re.compile(r"^/v1/models/([^/]+)$"),
-     {"GET": "_v1_model_get", "DELETE": "_v1_model_unload"}, False,
+     {"GET": "_v1_model_get", "DELETE": "_v1_model_unload"},
      "/v1/models/{id}"),
     (re.compile(r"^/v1/models/([^/]+)/score$"),
-     {"POST": "_v1_model_score"}, False, "/v1/models/{id}/score"),
+     {"POST": "_v1_model_score"}, "/v1/models/{id}/score"),
     (re.compile(r"^/v1/jobs$"),
-     {"GET": "_v1_jobs_list", "POST": "_v1_jobs_submit"}, False, "/v1/jobs"),
+     {"GET": "_v1_jobs_list", "POST": "_v1_jobs_submit"}, "/v1/jobs"),
     (re.compile(r"^/v1/jobs/([^/]+)$"),
-     {"GET": "_v1_job_get", "DELETE": "_v1_job_cancel"}, False,
+     {"GET": "_v1_job_get", "DELETE": "_v1_job_cancel"},
      "/v1/jobs/{id}"),
     (re.compile(r"^/v1/jobs/([^/]+)/result$"),
-     {"GET": "_v1_job_result"}, False, "/v1/jobs/{id}/result"),
+     {"GET": "_v1_job_result"}, "/v1/jobs/{id}/result"),
     (re.compile(r"^/v1/sessions$"),
-     {"GET": "_v1_sessions_list", "POST": "_v1_sessions_create"}, False,
+     {"GET": "_v1_sessions_list", "POST": "_v1_sessions_create"},
      "/v1/sessions"),
     (re.compile(r"^/v1/sessions/([^/]+)$"),
-     {"GET": "_v1_session_get", "DELETE": "_v1_session_close"}, False,
+     {"GET": "_v1_session_get", "DELETE": "_v1_session_close"},
      "/v1/sessions/{id}"),
     (re.compile(r"^/v1/sessions/([^/]+)/score$"),
-     {"POST": "_v1_session_score"}, False, "/v1/sessions/{id}/score"),
+     {"POST": "_v1_session_score"}, "/v1/sessions/{id}/score"),
     # Fault-injection hook, only live when the runtime was built with
     # debug_hooks=True (404 otherwise, indistinguishable from absent).
     (re.compile(r"^/v1/_debug/delay$"),
-     {"GET": "_v1_debug_delay_get", "POST": "_v1_debug_delay_set"}, False,
+     {"GET": "_v1_debug_delay_get", "POST": "_v1_debug_delay_set"},
      "/v1/_debug/delay"),
-    (re.compile(r"^/score$"), {"POST": "_legacy_score"}, True, "/score"),
-    (re.compile(r"^/healthz$"), {"GET": "_legacy_health"}, True, "/healthz"),
-    (re.compile(r"^/model$"), {"GET": "_legacy_model"}, True, "/model"),
 )
 
 
@@ -472,16 +457,11 @@ class _Handler(BaseHTTPRequestHandler):
                     # Slow-response fault injection; the hook itself stays
                     # fast so the injector can always clear the delay.
                     time.sleep(delay_s)
-                for pattern, methods, legacy, template in _ROUTES:
+                for pattern, methods, template in _ROUTES:
                     match = pattern.match(path)
                     if match is None:
                         continue
                     self._route_label = template
-                    if legacy:
-                        extra_headers["Deprecation"] = "true"
-                        extra_headers["Link"] = (
-                            f'<{_LEGACY_SUCCESSORS[path]}>; '
-                            'rel="successor-version"')
                     handler = methods.get(lookup)
                     if handler is None:
                         extra_headers["Allow"] = ", ".join(sorted(methods))
@@ -691,27 +671,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError("bad_request",
                            "delay_s must be a number of seconds") from None
         return 200, {"delay_s": delay_s}
-
-    # ------------------------------------------------------------ legacy routes
-    # Deprecated aliases over the DEFAULT model, byte-compatible with the
-    # original single-model server.  New functionality is /v1-only.
-    def _legacy_score(self):
-        request = ScoreRequest.from_json(self._read_json_body())
-        entry = self.runtime.registry.get()
-        result = self._score_on(entry, request)
-        return 200, self._score_response(entry, result).to_json(legacy=True)
-
-    def _legacy_health(self):
-        summary = self.runtime.registry.get().artifact.summary()
-        return 200, {
-            "status": "ok",
-            "format": summary["format"],
-            "schema_version": summary["schema_version"],
-            "ensemble_groups": summary["ensemble_groups"],
-        }
-
-    def _legacy_model(self):
-        return 200, self.runtime.registry.get().scorer.diagnostics()
 
 
 def build_server(model: Union[str, Path, ModelArtifact, OnlineScorer, None]

@@ -203,7 +203,7 @@ class FleetSupervisor:
                  policy: Optional[SupervisorPolicy] = None,
                  host: str = "127.0.0.1",
                  proxy_host: str = "127.0.0.1", proxy_port: int = 0,
-                 batch_window_ms: float = 2.0, max_batch_samples: int = 512,
+                 batch_window_ms: float = 0.0, max_batch_samples: int = 512,
                  backend_timeout_s: Optional[float] = None,
                  debug_hooks: bool = False,
                  spawner: Optional[Callable[[], ReplicaProcess]] = None,

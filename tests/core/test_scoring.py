@@ -8,6 +8,7 @@ from repro.core.bucketing import BucketAssignment, assign_buckets
 from repro.core.scoring import (
     AnomalyScores,
     BucketStatistics,
+    StackedReference,
     bucket_deviations,
     bucket_statistics,
     reference_deviations,
@@ -97,22 +98,6 @@ class TestBucketStatistics:
         legacy = bucket_deviations(
             p1, buckets, statistics=(statistics.means, statistics.stds))
         assert np.array_equal(legacy, bucket_deviations(p1, buckets))
-
-    def test_mask_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="live mask"):
-            reference_deviations(np.zeros(2), np.zeros(3), np.ones(3),
-                                 live=np.ones(2, dtype=bool))
-
-    def test_precomputed_mask_reproduces_reference_deviations_bitwise(self):
-        rng = np.random.default_rng(11)
-        p1 = rng.uniform(0, 0.5, size=40)
-        buckets = assign_buckets(40, 8, rng)
-        statistics = bucket_statistics(p1, buckets)
-        probes = rng.uniform(0, 1, size=9)
-        plain = reference_deviations(probes, statistics.means, statistics.stds)
-        masked = reference_deviations(probes, statistics.means,
-                                      statistics.stds, live=statistics.live)
-        assert np.array_equal(plain, masked)
 
 
 class TestStackedBucketScores:
@@ -233,3 +218,36 @@ class TestAnomalyScores:
     def test_empty_scores_raise(self):
         with pytest.raises(ValueError):
             AnomalyScores(scores=np.array([]))
+
+
+class TestStackedReference:
+    def test_matches_reference_deviations_bitwise(self):
+        """Members with different bucket counts and dead buckets, scored
+        through offset windows of the member stack."""
+        rng = np.random.default_rng(0)
+        statistics = []
+        for member, buckets in enumerate((3, 9, 9, 140, 4, 1)):
+            stds = rng.uniform(0.01, 0.2, size=buckets)
+            if member in (1, 3):
+                stds[rng.choice(buckets, size=2, replace=False)] = 0.0
+            if member == 5:
+                stds[:] = 0.0
+            statistics.append(BucketStatistics(
+                means=rng.uniform(0.0, 0.5, size=buckets), stds=stds))
+        reference = StackedReference(statistics)
+        p1 = rng.uniform(0.0, 0.5, size=(len(statistics), 17))
+        for start, stop in ((0, 6), (1, 4), (3, 6), (5, 6)):
+            stacked = reference.deviations(p1[start:stop], start)
+            for offset, member in enumerate(range(start, stop)):
+                expected = reference_deviations(
+                    p1[member], statistics[member].means,
+                    statistics[member].stds)
+                assert np.array_equal(stacked[offset], expected)
+
+    def test_rejects_empty_statistics(self):
+        with pytest.raises(ValueError):
+            StackedReference([])
+        with pytest.raises(ValueError, match="empty"):
+            StackedReference([BucketStatistics(means=np.zeros(0),
+                                               stds=np.zeros(0))])
+

@@ -11,13 +11,15 @@ path replaced, so the parity tests can hold the stacked path to them:
   numpy reduction per bucket;
 * :func:`frozen_plan_member` -- member planning with the round-robin deal as
   a Python loop;
-* :func:`loop_fit` -- a whole fit, member by member, built from the above.
+* :func:`loop_fit` -- a whole fit, member by member, built from the above;
+* :func:`loop_serve` -- ``OnlineScorer.score`` / ``score_stateful``, member
+  by member and level by level.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +27,12 @@ from repro.algorithms.ansatz import RandomAutoencoderAnsatz
 from repro.core.bucketing import bucket_size_for_probability
 from repro.core.config import QuorumConfig
 from repro.core.ensemble import batch_amplitudes
-from repro.core.execution import make_engine
+from repro.core.execution import apply_shot_noise, make_engine
+from repro.core.scoring import bucket_deviations, reference_deviations
 from repro.core.parallel import derive_member_seeds
 from repro.encoding.normalization import QuorumNormalizer
 from repro.quantum.backend import get_simulation_backend
+from repro.serving.artifact import ModelArtifact
 
 
 def gate_by_gate_encoder_unitary(ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
@@ -185,3 +189,46 @@ def loop_fit(features: np.ndarray, config: QuorumConfig) -> LoopFit:
         p1_statistics.append(member_p1_statistics)
         bucket_statistics.append(member_buckets)
     return LoopFit(total, plans, p1_statistics, bucket_statistics)
+
+
+def loop_serve(artifact: ModelArtifact, features: np.ndarray,
+               mode: str = "reference",
+               rngs: Optional[Sequence[np.random.Generator]] = None,
+               compiler=None) -> np.ndarray:
+    """``OnlineScorer(artifact).score(features, mode)``, member by member.
+
+    Each member runs one exact ``p1_levels_batch``, draws its shot noise from
+    a generator restored from the artifact (or from ``rngs[member]``, consumed
+    in place, as ``score_stateful`` does), and scores level by level with
+    :func:`bucket_deviations` (replay) or :func:`reference_deviations`
+    against its frozen statistics.  A member's levels are summed from zero,
+    then members are added in member order.  Exact engines only.
+    """
+    config = artifact.config
+    features = np.asarray(features, dtype=float).reshape(
+        -1, artifact.num_features)
+    normalized = artifact.build_normalizer().transform(features)
+    engine = make_engine(
+        config.backend, None, noisy=config.noisy,
+        gate_level_encoding=config.gate_level_encoding,
+        num_qubits=config.num_qubits,
+        simulation_backend=config.simulation_backend,
+        compile_circuits=config.compile_circuits, compiler=compiler)
+    total = np.zeros(normalized.shape[0])
+    for index, member in enumerate(artifact.members):
+        amplitudes = batch_amplitudes(normalized[:, member.selected_features],
+                                      config.num_qubits)
+        p1 = engine.p1_levels_batch(amplitudes, member.build_ansatz(config),
+                                    artifact.levels)
+        rng = rngs[index] if rngs is not None else member.restored_rng()
+        p1 = apply_shot_noise(p1, config.shots, rng)
+        member_total = np.zeros(normalized.shape[0])
+        for position, level in enumerate(artifact.levels):
+            if mode == "replay":
+                member_total += bucket_deviations(p1[position],
+                                                  member.bucket_assignment())
+            else:
+                means, stds = member.reference[level]
+                member_total += reference_deviations(p1[position], means, stds)
+        total += member_total
+    return total

@@ -149,11 +149,3 @@ class TestScoreResponse:
         payload = response.to_json()
         assert payload["model_id"] == "m"
         assert ScoreResponse.from_json(payload) == response
-
-    def test_legacy_shape_is_frozen(self):
-        response = ScoreResponse(scores=[1.0], num_runs=2, num_samples=1,
-                                 mode="reference", model_id="m",
-                                 schema_version=1)
-        # Byte-compatibility with the pre-/v1 server: exactly these keys.
-        assert set(response.to_json(legacy=True)) == {
-            "scores", "num_runs", "num_samples", "mode", "schema_version"}

@@ -10,9 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.algorithms.ansatz import RandomAutoencoderAnsatz
+from repro.core import ensemble
 from repro.core.detector import QuorumDetector
+from repro.core.ensemble import CHUNK_ROWS, members_per_chunk
+from repro.core.execution import AnalyticEngine
 from repro.quantum.compiler import CircuitCompiler
-from repro.serving.artifact import load_model, save_model
+from repro.serving import scorer as scorer_module
+from repro.serving.artifact import MemberArtifact, load_model, save_model
 from repro.serving.scorer import OnlineScorer
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -21,6 +26,20 @@ _SRC = str(Path(__file__).resolve().parents[2] / "src")
 def _toy_data(samples=36, features=7, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(samples, features))
+
+
+def _spy(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` (a class method or a module
+    function) in the returned list, then run the original."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def _fit_and_save(tmp_path, data, **overrides):
@@ -173,6 +192,38 @@ class TestConcurrencyAndCaching:
         assert diagnostics["serving"]["requests"] == 48
         assert diagnostics["serving"]["batches"] >= 1
 
+    def test_shared_generators_survive_thread_contention(self, tmp_path):
+        """Direct, queued and session requests from more threads than cores
+        share the member generators; a reset or draw racing another
+        request's would change its bits."""
+        data = _toy_data(samples=48)
+        _, path = _fit_and_save(tmp_path, data, ensemble_groups=4, seed=31,
+                                shots=2048)
+        requests = [_toy_data(samples=1 + (i % 3), seed=200 + i)
+                    for i in range(12)]
+        with OnlineScorer(load_model(path)) as scorer:
+            serial = [scorer.score(request).scores for request in requests]
+
+            def work(index):
+                request = requests[index]
+                if index % 3 == 0:
+                    return scorer.submit(request).result(timeout=60).scores
+                if index % 3 == 1:
+                    return scorer.score_stateful(
+                        request, scorer.fresh_member_rngs()).scores
+                return scorer.score(request).scores
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(
+                        work, list(range(len(requests))) * 3, timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+        for index, scores in enumerate(results):
+            assert np.array_equal(scores, serial[index % len(requests)])
+
     def test_compiled_programs_are_reused_across_requests(self, tmp_path):
         data = _toy_data(samples=12)
         _, path = _fit_and_save(tmp_path, data, ensemble_groups=3, seed=2,
@@ -210,21 +261,42 @@ class TestConcurrencyAndCaching:
         assert compiler.stats.fallbacks == 0
 
     def test_analytic_requests_reuse_cached_encoders_without_compiling(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        """The encoder stack is built once at load; requests build none."""
         data = _toy_data()
         _, path = _fit_and_save(tmp_path, data, ensemble_groups=3, seed=2,
                                 shots=512)
         compiler = CircuitCompiler()
         with OnlineScorer(load_model(path), compiler=compiler) as scorer:
-            scorer.score(data[:2])
-            encoders = [member.ansatz.encoder_unitary()
-                        for member in scorer._members]
+            stacks = _spy(monkeypatch, scorer_module, "encoder_unitaries")
+            encoders = _spy(monkeypatch, RandomAutoencoderAnsatz,
+                            "encoder_unitary")
             for start in range(0, 10, 2):
                 scorer.score(_toy_data(samples=2, seed=start))
-            assert all(member.ansatz.encoder_unitary() is encoder
-                       for member, encoder in zip(scorer._members, encoders))
+        assert stacks == encoders == []
         assert compiler.stats.compiles == 0
         assert compiler.stats.hits == compiler.stats.misses == 0
+
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 2])
+    def test_one_row_analytic_score_takes_the_stacked_path(
+            self, tmp_path, monkeypatch, chunk_rows):
+        """One ``exact_levels_stack`` per member chunk; no per-member engine
+        call and no RNG decode after load."""
+        data = _toy_data()
+        _, path = _fit_and_save(tmp_path, data, ensemble_groups=5, seed=2,
+                                shots=512)
+        with OnlineScorer(load_model(path)) as scorer:
+            monkeypatch.setattr(ensemble, "CHUNK_ROWS", chunk_rows)
+            stacks = _spy(monkeypatch, AnalyticEngine, "exact_levels_stack")
+            per_member = _spy(monkeypatch, AnalyticEngine, "p1_levels_batch")
+            decodes = _spy(monkeypatch, MemberArtifact, "restored_rng")
+            first = scorer.score(data[:1]).scores
+            chunks = len(stacks)
+            second = scorer.score(data[:1]).scores
+        assert chunks == -(-5 // members_per_chunk(1))
+        assert len(stacks) == 2 * chunks
+        assert per_member == decodes == []
+        assert np.array_equal(first, second)
 
     def test_micro_batch_respects_sample_budget(self, tmp_path):
         data = _toy_data()

@@ -74,30 +74,15 @@ def _wait_job(base, job_id, timeout=60.0):
     raise AssertionError(f"job {job_id} did not finish within {timeout}s")
 
 
-class TestLegacyRoutes:
-    """The pre-/v1 aliases stay byte-compatible and carry Deprecation."""
+def _score_url(served_model):
+    return (f"{served_model['base']}/v1/models/"
+            f"{served_model['default_id']}/score")
 
-    def test_healthz(self, served_model):
-        status, payload, headers = _get(served_model["base"] + "/healthz")
-        assert status == 200
-        assert payload["status"] == "ok"
-        assert payload["schema_version"] == 1
-        assert payload["ensemble_groups"] == 3
-        assert headers["Deprecation"] == "true"
-        assert "successor-version" in headers["Link"]
 
-    def test_model_diagnostics(self, served_model):
-        status, payload, headers = _get(served_model["base"] + "/model")
-        assert status == 200
-        assert payload["model"]["format"] == "quorum-repro/model"
-        assert payload["model"]["schema_version"] == 1
-        assert {"compiles", "hits", "misses"} <= set(payload["compiler_cache"])
-        assert "requests" in payload["serving"]
-        assert headers["Deprecation"] == "true"
-
+class TestV1Scoring:
     def test_score_round_trip(self, served_model):
         data = served_model["data"]
-        status, payload, headers = _post(served_model["base"] + "/score",
+        status, payload, headers = _post(_score_url(served_model),
                                          {"samples": data[:4].tolist()})
         assert status == 200
         assert payload["mode"] == "reference"
@@ -105,26 +90,28 @@ class TestLegacyRoutes:
         assert len(payload["scores"]) == 4
         assert payload["num_runs"] == 3 * 2
         assert payload["schema_version"] == 1
-        # Byte-compatible: the legacy shape never grew a model_id field.
+        assert payload["model_id"] == served_model["default_id"]
         assert set(payload) == {"scores", "num_runs", "num_samples", "mode",
-                                "schema_version"}
-        assert headers["Deprecation"] == "true"
+                                "schema_version", "model_id"}
+        assert "Deprecation" not in headers
 
     def test_score_is_deterministic_across_requests(self, served_model):
-        base, data = served_model["base"], served_model["data"]
-        _, first, _ = _post(base + "/score", {"samples": data[:3].tolist()})
-        _, second, _ = _post(base + "/score", {"samples": data[:3].tolist()})
+        data = served_model["data"]
+        _, first, _ = _post(_score_url(served_model),
+                            {"samples": data[:3].tolist()})
+        _, second, _ = _post(_score_url(served_model),
+                             {"samples": data[:3].tolist()})
         assert first["scores"] == second["scores"]
 
     def test_concurrent_posts_match_sequential(self, served_model):
-        base, data = served_model["base"], served_model["data"]
+        url, data = _score_url(served_model), served_model["data"]
         requests = [data[i:i + 2].tolist() for i in range(6)]
-        sequential = [_post(base + "/score", {"samples": r})[1]["scores"]
+        sequential = [_post(url, {"samples": r})[1]["scores"]
                       for r in requests]
         results = [None] * len(requests)
 
         def worker(index):
-            results[index] = _post(base + "/score",
+            results[index] = _post(url,
                                    {"samples": requests[index]})[1]["scores"]
 
         threads = [threading.Thread(target=worker, args=(i,))
@@ -136,33 +123,48 @@ class TestLegacyRoutes:
         assert results == sequential
 
     def test_replay_mode_over_http(self, served_model):
-        base, data = served_model["base"], served_model["data"]
-        status, payload, _ = _post(base + "/score",
+        data = served_model["data"]
+        status, payload, _ = _post(_score_url(served_model),
                                    {"samples": data.tolist(),
                                     "mode": "replay"})
         assert status == 200
         assert payload["mode"] == "replay"
+        assert np.array_equal(payload["scores"],
+                              served_model["detector"].anomaly_scores())
 
-    def test_legacy_score_matches_v1_minus_model_id(self, served_model):
-        """Alias parity: /score == /v1/models/{id}/score minus model_id."""
-        base, data = served_model["base"], served_model["data"]
-        model_id = served_model["default_id"]
-        _, legacy, _ = _post(base + "/score", {"samples": data[:3].tolist()})
-        _, v1, headers = _post(f"{base}/v1/models/{model_id}/score",
-                               {"samples": data[:3].tolist()})
-        assert v1.pop("model_id") == model_id
-        assert v1 == legacy
-        assert "Deprecation" not in headers  # /v1 routes are not deprecated
+    def test_model_diagnostics(self, served_model):
+        status, payload, _ = _get(f"{served_model['base']}/v1/models/"
+                                  f"{served_model['default_id']}")
+        assert status == 200
+        assert payload["summary"]["format"] == "quorum-repro/model"
+        assert payload["summary"]["schema_version"] == 1
+        assert {"compiles", "hits", "misses"} <= set(payload["compiler_cache"])
+        assert "requests" in payload["serving"]
+        assert payload["serving"]["batch_window_s"] == 0.0
 
     def test_counters_across_requests(self, served_model):
         """Serving counters grow; the analytic model never compiles."""
-        base, data = served_model["base"], served_model["data"]
-        _, before, _ = _get(base + "/model")
-        _post(base + "/score", {"samples": data[:1].tolist()})
-        _post(base + "/score", {"samples": data[:1].tolist()})
-        _, after, _ = _get(base + "/model")
+        url, data = _score_url(served_model), served_model["data"]
+        model_url = (f"{served_model['base']}/v1/models/"
+                     f"{served_model['default_id']}")
+        _, before, _ = _get(model_url)
+        _post(url, {"samples": data[:1].tolist()})
+        _post(url, {"samples": data[:1].tolist()})
+        _, after, _ = _get(model_url)
         assert after["compiler_cache"] == before["compiler_cache"]
         assert after["serving"]["requests"] >= before["serving"]["requests"] + 2
+
+    @pytest.mark.parametrize("method, route", [("POST", "/score"),
+                                               ("GET", "/healthz"),
+                                               ("GET", "/model")])
+    def test_pre_v1_routes_are_gone(self, served_model, method, route):
+        url = served_model["base"] + route
+        call = ((lambda: _post(url, {"samples": served_model["data"][:1]
+                                     .tolist()}))
+                if method == "POST" else (lambda: _get(url)))
+        code, payload, _ = _error_of(call)
+        assert code == 404
+        assert payload["error"]["code"] == "not_found"
 
 
 class TestV1Models:
@@ -380,7 +382,8 @@ class TestV1Sessions:
         assert session["mode"] == "batch"
         _, scored, _ = _post(f"{base}/v1/sessions/{sid}/score",
                              {"samples": data[:2].tolist()})
-        _, direct, _ = _post(base + "/score", {"samples": data[:2].tolist()})
+        _, direct, _ = _post(_score_url(served_model),
+                             {"samples": data[:2].tolist()})
         assert scored["scores"] == direct["scores"]
         _, listing, _ = _get(base + "/v1/sessions")
         assert sid in [s["session_id"] for s in listing["sessions"]]
@@ -429,16 +432,16 @@ class TestErrors:
         assert payload["error"]["code"] == "method_not_allowed"
         assert headers["Allow"] == "GET"
 
-    def test_wrong_method_on_legacy_route(self, served_model):
+    def test_wrong_method_on_score_route(self, served_model):
         code, payload, headers = _error_of(
-            lambda: _post(served_model["base"] + "/healthz", {}))
+            lambda: _get(_score_url(served_model)))
         assert code == 405
-        assert headers["Allow"] == "GET"
-        assert headers["Deprecation"] == "true"
+        assert payload["error"]["code"] == "method_not_allowed"
+        assert headers["Allow"] == "POST"
 
     def test_invalid_json_body(self, served_model):
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score", None,
+            lambda: _post(_score_url(served_model), None,
                           raw=b"{not json"))
         assert code == 400
         assert "invalid JSON" in payload["error"]["message"]
@@ -460,20 +463,20 @@ class TestErrors:
 
     def test_missing_samples_key(self, served_model):
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score", {}))
+            lambda: _post(_score_url(served_model), {}))
         assert code == 400
         assert "samples" in payload["error"]["message"]
 
     def test_unknown_request_field(self, served_model):
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score",
+            lambda: _post(_score_url(served_model),
                           {"rows": [[1.0]]}))
         assert code == 400
         assert "unknown field" in payload["error"]["message"]
 
     def test_wrong_feature_width(self, served_model):
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score",
+            lambda: _post(_score_url(served_model),
                           {"samples": [[1.0, 2.0]]}))
         assert code == 400
         assert "features" in payload["error"]["message"]
@@ -481,7 +484,7 @@ class TestErrors:
     def test_unknown_mode(self, served_model):
         data = served_model["data"]
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score",
+            lambda: _post(_score_url(served_model),
                           {"samples": data[:1].tolist(),
                            "mode": "transduce"}))
         assert code == 400
@@ -490,14 +493,14 @@ class TestErrors:
     def test_replay_with_wrong_count(self, served_model):
         data = served_model["data"]
         code, payload, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score",
+            lambda: _post(_score_url(served_model),
                           {"samples": data[:2].tolist(), "mode": "replay"}))
         assert code == 400
         assert "replay mode requires" in payload["error"]["message"]
 
     def test_empty_body(self, served_model):
         code, _, _ = _error_of(
-            lambda: _post(served_model["base"] + "/score", None, raw=b""))
+            lambda: _post(_score_url(served_model), None, raw=b""))
         assert code == 400
 
 
@@ -521,7 +524,8 @@ class TestDraining:
             assert code == 503
             assert payload["error"]["code"] == "shutting_down"
             code, payload, _ = _error_of(
-                lambda: _post(base + "/score",
+                lambda: _post(f"{base}/v1/models/"
+                              f"{server.runtime.registry.default_id()}/score",
                               {"samples": data[:1].tolist()}))
             assert code == 503
         finally:
@@ -677,7 +681,8 @@ class TestHTTPRobustness:
         """A body trickling in across many small sends scores normally."""
         data = served_model["data"]
         body = json.dumps({"samples": data[:2].tolist()}).encode()
-        head = (f"POST /score HTTP/1.1\r\nHost: x\r\n"
+        head = (f"POST /v1/models/{served_model['default_id']}/score "
+                f"HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode()
@@ -697,7 +702,8 @@ class TestHTTPRobustness:
     def test_truncated_body_is_distinct_400(self, served_model):
         """EOF before Content-Length names the truncation, not 'bad JSON'."""
         body = json.dumps({"samples": [[0.0] * 5] * 4}).encode()
-        head = (f"POST /score HTTP/1.1\r\nHost: x\r\n"
+        head = (f"POST /v1/models/{served_model['default_id']}/score "
+                f"HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n").encode()
         sock = _raw_connection(served_model)
@@ -728,7 +734,9 @@ class TestHTTPRobustness:
         captured = io.StringIO()
         try:
             body = json.dumps({"samples": data[:4].tolist()}).encode()
-            request = (f"POST /score HTTP/1.1\r\nHost: x\r\n"
+            model_id = server.runtime.registry.default_id()
+            request = (f"POST /v1/models/{model_id}/score HTTP/1.1\r\n"
+                       f"Host: x\r\n"
                        f"Content-Type: application/json\r\n"
                        f"Content-Length: {len(body)}\r\n\r\n"
                        ).encode() + body
@@ -757,7 +765,8 @@ class TestHTTPRobustness:
     def test_head_matches_get_across_routes(self, served_model):
         """HEAD == GET minus the body, byte-identical framing headers."""
         host, port = _host_port(served_model)
-        for route in ("/v1/healthz", "/healthz", "/v1/models", "/model",
+        for route in ("/v1/healthz", "/v1/models",
+                      f"/v1/models/{served_model['default_id']}",
                       "/v1/jobs", "/v1/sessions"):
             get_status, _, get_headers = _get(served_model["base"] + route)
             connection = http.client.HTTPConnection(host, port, timeout=30)
@@ -782,7 +791,8 @@ class TestHTTPRobustness:
             assert response.read() == b""
             assert int(response.headers["Content-Length"]) > 0
             # POST-only route: HEAD routes like GET and reports 405.
-            connection.request("HEAD", "/score")
+            connection.request(
+                "HEAD", f"/v1/models/{served_model['default_id']}/score")
             response = connection.getresponse()
             assert response.status == 405
             assert response.headers["Allow"] == "POST"
@@ -803,7 +813,7 @@ class TestHTTPRobustness:
             first_socket = connection.sock
             data = served_model["data"]
             connection.request(
-                "POST", "/score",
+                "POST", f"/v1/models/{served_model['default_id']}/score",
                 body=json.dumps({"samples": data[:1].tolist()}).encode(),
                 headers={"Content-Type": "application/json"})
             response = connection.getresponse()

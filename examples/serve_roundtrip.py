@@ -51,9 +51,12 @@ def _get_json(url: str, timeout: float = 30.0) -> dict:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="quorum-serve-"))
-    model_path = workdir / "model.json"
+    # The work directory goes on every exit, after the server has shut down.
+    with tempfile.TemporaryDirectory(prefix="quorum-serve-") as workdir:
+        _round_trip(Path(workdir) / "model.json")
 
+
+def _round_trip(model_path: Path) -> None:
     # 1. Train once: fit the ensemble and persist it as a versioned artifact.
     dataset = load_dataset("power_plant", seed=0)
     detector = QuorumDetector(ensemble_groups=12, shots=2048, seed=7,
@@ -153,7 +156,11 @@ def main() -> None:
     finally:
         # 6. Shut down cleanly: SIGTERM closes the socket and the scorer.
         server.terminate()
-        server.wait(timeout=15)
+        try:
+            server.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
     assert server.returncode == 0, f"server exited with {server.returncode}"
     print("server shut down cleanly")
 

@@ -200,10 +200,9 @@ class QuorumCircuitFactory:
     """Convenience wrapper binding an ansatz to the circuit/fast-path builders.
 
     The factory also carries the :class:`~repro.quantum.compiler
-    .CircuitCompiler` whose LRU cache holds this ansatz's compiled artifacts
-    (fused encoder unitary and per-level Heisenberg-picture observables).
-    By default that is the process-wide shared compiler, so engines,
-    simulators, and factories all reuse one cache.
+    .CircuitCompiler` whose LRU cache holds this ansatz's per-level
+    Heisenberg-picture observables.  By default that is the process-wide
+    shared compiler, so engines and factories reuse one cache.
     """
 
     ansatz: RandomAutoencoderAnsatz
@@ -245,14 +244,6 @@ class QuorumCircuitFactory:
         return analytic_swap_test_p1(amplitudes, self.ansatz, compression_level)
 
     # ------------------------------------------------------ compiled artifacts
-    def encoder_unitary(self,
-                        backend: Union[str, SimulationBackend, None] = None
-                        ) -> np.ndarray:
-        """The encoder as ONE fused ``2^n x 2^n`` unitary (compiler-cached)."""
-        return self.compiler.fused_unitary(
-            self.ansatz.encoder_circuit(list(range(self.num_qubits))), backend
-        )
-
     def suffix_observable(self, compression_level: int,
                           noise_model: Optional[NoiseModel] = None,
                           backend: Union[str, SimulationBackend, None] = None

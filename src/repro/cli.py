@@ -36,6 +36,7 @@ from repro.baselines import (
     LocalOutlierFactorDetector,
     PCAReconstructionDetector,
 )
+from repro.core.config import BACKENDS
 from repro.core.detector import QuorumDetector
 from repro.data.dataset import Dataset
 from repro.data.io import load_dataset_csv
@@ -312,9 +313,7 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
                         help="target probability of >=1 anomaly per bucket")
     parser.add_argument("--anomaly-fraction", type=float, default=None,
                         help="estimated anomaly fraction (default: 0.05)")
-    parser.add_argument("--backend", choices=("analytic", "density_matrix",
-                                              "statevector"),
-                        default="analytic")
+    parser.add_argument("--backend", choices=BACKENDS, default="analytic")
     parser.add_argument("--simulation-backend",
                         choices=available_simulation_backends(), default="numpy",
                         help="batched numerical kernel implementation the "

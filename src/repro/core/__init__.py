@@ -11,7 +11,6 @@ from repro.core.feature_selection import select_feature_subset
 from repro.core.execution import (
     AnalyticEngine,
     DensityMatrixEngine,
-    StatevectorEngine,
     SwapTestEngine,
     apply_shot_noise,
     make_engine,
@@ -47,7 +46,6 @@ __all__ = [
     "SwapTestEngine",
     "AnalyticEngine",
     "DensityMatrixEngine",
-    "StatevectorEngine",
     "apply_shot_noise",
     "make_engine",
     "AnomalyScores",

@@ -7,9 +7,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.quantum.backend import available_simulation_backends
 
-__all__ = ["QuorumConfig"]
+__all__ = ["BACKENDS", "QuorumConfig"]
 
-_BACKENDS = ("analytic", "density_matrix", "statevector")
+#: Engine strategies :attr:`QuorumConfig.backend` accepts.
+BACKENDS = ("analytic", "density_matrix")
 _ENTANGLEMENTS = ("linear", "ring", "full")
 _FEATURE_SCALINGS = ("circuit_sqrt", "dataset_sqrt", "dataset_linear")
 #: Fields that older model artifacts persist but no longer exist.  Both only
@@ -57,9 +58,9 @@ class QuorumConfig:
         ``"dataset_linear"`` is the paper's literal ``1/M`` formula (which leaves
         almost all mass on the overflow state for wide datasets).
     backend:
-        ``"analytic"`` (reduced-density-matrix fast path), ``"density_matrix"``
-        (full 2n+1-qubit circuit, supports noise), or ``"statevector"``
-        (trajectory sampling).
+        ``"analytic"`` (reduced-density-matrix fast path) or
+        ``"density_matrix"`` (full 2n+1-qubit circuit, supports noise); see
+        :data:`BACKENDS`.
     simulation_backend:
         Which batched numerical kernel implementation the engines run on; one of
         :func:`repro.quantum.backend.available_simulation_backends` (default
@@ -122,8 +123,9 @@ class QuorumConfig:
             raise ValueError("default_anomaly_fraction must be in (0, 1)")
         if self.feature_scaling not in _FEATURE_SCALINGS:
             raise ValueError(f"feature_scaling must be one of {_FEATURE_SCALINGS}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, "
+                             f"got {self.backend!r}")
         if self.simulation_backend not in available_simulation_backends():
             raise ValueError(
                 "simulation_backend must be one of "

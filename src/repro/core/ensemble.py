@@ -19,13 +19,12 @@ The member lifecycle is split in two:
   and bucket scoring.  It runs members in chunks of at most
   :data:`CHUNK_ROWS` (member, sample) rows, each chunk as one array pass per
   layer: :func:`chunk_amplitudes` encodes the chunk's
-  ``(members, samples, 2^n)`` stack, :func:`exact_chunk_p1` evaluates it (the
-  analytic engine in one stacked call with encoders from
-  :func:`~repro.algorithms.ansatz.encoder_unitaries`; density matrices one
-  ``p1_levels_batch`` per member), and :func:`chunk_bucket_scores` scores
-  every (member, level) pair of the chunk at once.  The statevector engine
-  consumes randomness during evolution, so it keeps one shot-based call per
-  member and shares the stacked scoring.  The online scorer
+  ``(members, samples, 2^n)`` stack, :func:`exact_chunk_p1` evaluates it
+  (analytic runs in one stacked call with encoders from
+  :func:`~repro.algorithms.ansatz.encoder_unitaries`; folded density
+  matrices one ``p1_levels_batch`` per member), shot noise is drawn per
+  member, and :func:`chunk_bucket_scores` scores every (member, level) pair
+  of the chunk at once.  The online scorer
   (:mod:`repro.serving.scorer`) serves requests through the same chunk
   functions.  :func:`repro.core.parallel.run_ensemble_members` calls
   :func:`execute_members` in the calling process or, with ``n_jobs > 1``, in
@@ -50,14 +49,12 @@ import numpy as np
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz, encoder_unitaries
 from repro.core.bucketing import BucketAssignment, assign_buckets, bucket_size_for_probability
 from repro.core.config import QuorumConfig
-from repro.core.execution import (AnalyticEngine, SwapTestEngine,
-                                  apply_shot_noise, make_engine)
+from repro.core.execution import SwapTestEngine, apply_shot_noise, make_engine
 from repro.core.feature_selection import select_feature_subset
 from repro.core.scoring import BucketStatistics, stacked_bucket_scores
 from repro.quantum.compiler import CircuitCompiler
 
 __all__ = [
-    "EXACT_BACKENDS",
     "EnsembleMemberResult",
     "MemberPlan",
     "batch_amplitudes",
@@ -224,11 +221,6 @@ def plan_member(num_samples: int, num_features: int, config: QuorumConfig,
 CHUNK_ROWS = 1 << 14
 
 
-#: Engines whose shot noise is one binomial draw after an exact sweep, so the
-#: sweep runs with ``shots=None`` and each caller draws the noise itself.
-EXACT_BACKENDS = ("analytic", "density_matrix")
-
-
 def members_per_chunk(num_samples: int) -> int:
     """Members of one stacked pass over ``num_samples`` samples."""
     return max(1, CHUNK_ROWS // max(1, num_samples))
@@ -281,14 +273,16 @@ def exact_chunk_p1(engine: SwapTestEngine, amplitudes: np.ndarray,
                    encoders: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact ``(members, levels, samples)`` P(1) of a member chunk.
 
-    The analytic engine evaluates the whole stack in one
-    :meth:`~repro.core.execution.AnalyticEngine.exact_levels_stack` call,
-    with ``encoders`` (built from ``ansatzes`` when omitted); other exact
-    engines run one ``p1_levels_batch`` per member.  ``engine`` must be exact
-    (``shots=None``): shot noise is each caller's own draw.  The fit and the
-    online scorer both compute a chunk's probabilities here.
+    An :attr:`~repro.core.execution.SwapTestEngine.analytic` engine
+    evaluates the whole stack in one
+    :meth:`~repro.core.execution.SwapTestEngine.exact_levels_stack` call,
+    with ``encoders`` (built from ``ansatzes`` when omitted); the folded
+    density-matrix engine runs one ``p1_levels_batch`` per member.
+    ``engine`` must be exact (``shots=None``): shot noise is each caller's
+    own draw.  The fit and the online scorer both compute a chunk's
+    probabilities here.
     """
-    if isinstance(engine, AnalyticEngine):
+    if engine.analytic:
         if encoders is None:
             encoders = encoder_unitaries(ansatzes)
         return engine.exact_levels_stack(amplitudes, encoders, levels)
@@ -316,30 +310,21 @@ def _execute_chunk(normalized_data: np.ndarray, plans: Sequence[MemberPlan],
                    config: QuorumConfig) -> List[EnsembleMemberResult]:
     """Amplitudes, SWAP-test sweep, shot noise and scoring of a member chunk.
 
-    Exact engines (:data:`EXACT_BACKENDS`) compute the chunk's probabilities
-    with :func:`exact_chunk_p1`; shot noise is then drawn per member from the
-    member's own RNG, in member order, exactly as a member run on its own
-    draws it.  The statevector engine consumes randomness during evolution,
-    so it keeps one shot-based engine call per member.
+    :func:`exact_chunk_p1` computes the chunk's exact probabilities; shot
+    noise is then drawn per member from the member's own RNG, in member
+    order, exactly as a member run on its own draws it.
     """
     levels = config.effective_compression_levels
     amplitudes = chunk_amplitudes(
         normalized_data, np.stack([plan.selected_features for plan in plans]),
         config.num_qubits)
     ansatzes = [plan.ansatz for plan in plans]
-    if config.backend in EXACT_BACKENDS:
-        exact = exact_chunk_p1(config_engine(config, None), amplitudes,
-                               ansatzes, levels)
-        p1_values = np.stack([
-            apply_shot_noise(member_exact, config.shots, plan.rng)
-            for member_exact, plan in zip(exact, plans)
-        ])
-    else:
-        p1_values = np.stack([
-            config_engine(config, config.shots, rng=plan.rng).p1_levels_batch(
-                member_amplitudes, plan.ansatz, levels)
-            for member_amplitudes, plan in zip(amplitudes, plans)
-        ])
+    exact = exact_chunk_p1(config_engine(config, None), amplitudes, ansatzes,
+                           levels)
+    p1_values = np.stack([
+        apply_shot_noise(member_exact, config.shots, plan.rng)
+        for member_exact, plan in zip(exact, plans)
+    ])
     return _score_chunk(plans, levels, p1_values)
 
 

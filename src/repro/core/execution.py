@@ -2,23 +2,22 @@
 
 Each engine answers the same question -- "what is the probability of reading 1 on
 the SWAP-test ancilla for this encoded sample, this random ansatz, and this
-compression level?" -- with a different cost/fidelity trade-off:
+compression level?" -- for one of the two physics the detector simulates:
 
 * :class:`AnalyticEngine` evaluates the reduced-density-matrix expression exactly
-  (vectorized over a whole stack of members and samples) and optionally adds
-  binomial shot noise.  This is the default for noiseless sweeps and is
-  cross-validated against the circuit-level engines in the test suite.
-* :class:`DensityMatrixEngine` evolves density matrices exactly.  The
-  noiseless path runs register A of the whole sample batch through the
-  batched kernels of a :class:`~repro.quantum.backend.SimulationBackend`.
-  Noisy or gate-level runs fold the full ``2n+1``-qubit circuit: every
+  (vectorized over a whole stack of members and samples, see
+  :meth:`SwapTestEngine.exact_levels_stack`) and optionally adds binomial shot
+  noise.  This is the noiseless computation.
+* :class:`DensityMatrixEngine` adds hardware noise and gate-level state
+  preparation.  Runs with either fold the full ``2n+1``-qubit circuit: every
   sample's ``n``-qubit preparation is evolved at once, and everything after
   it (encoder, resets, decoder, SWAP test) is one cached observable per
-  (member, level), contracted against all samples together.
-* :class:`StatevectorEngine` runs stochastic trajectories, mimicking how a
-  shot-based hardware run (or Qiskit Aer's statevector method with mid-circuit
-  resets) behaves.  All samples and all trajectories are evolved together as one
-  ``(samples * trajectories, 2**n)`` batch.
+  (member, level), contracted against all samples together.  Noiseless
+  ``initialize`` runs are the analytic computation and run the same
+  :meth:`SwapTestEngine.exact_levels_stack` kernel.
+
+The per-sample :class:`~repro.quantum.simulator.DensityMatrixSimulator` is the
+reference oracle both are tested against.
 
 Batched execution
 -----------------
@@ -30,10 +29,9 @@ primitives: amplitudes enter as ``(samples, 2**n)`` float arrays, the leading
 batch axis is preserved end to end, and the ansatz unitary ``E`` is built once
 per ensemble member (cached on the ansatz) rather than once per sample.
 
-``p1_levels_batch`` fuses a member's whole compression sweep into one call:
-samples and levels form a single flattened batch wherever the math allows, and
-the shot-noise RNG is consumed in exactly the order the historical per-level
-loop used, so fixed-seed results are unchanged.
+``p1_levels_batch`` fuses a member's whole compression sweep into one call,
+and shot noise is one binomial draw over the exact ``(levels, samples)``
+array, consuming the RNG in exactly the order a per-level loop would.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ __all__ = [
     "SwapTestEngine",
     "AnalyticEngine",
     "DensityMatrixEngine",
-    "StatevectorEngine",
     "apply_shot_noise",
     "make_engine",
 ]
@@ -108,18 +105,25 @@ def _validated_rows(amplitudes: np.ndarray, num_qubits: int) -> np.ndarray:
 
 
 class SwapTestEngine(ABC):
-    """Interface shared by the three execution strategies.
+    """Interface shared by the two execution strategies.
 
-    Circuit-level sweeps execute *compiled programs* by default: the
-    sample-independent part of the circuit is lowered once through a
-    :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU cache keyed by
-    circuit signature, noise fingerprint, and backend dtype), and the
-    per-sweep work reduces to a few batched matmuls.  ``compile_circuits=False``
-    selects the per-sample reference simulator, kept as the oracle for the
-    parity test suite.  The member encoder ``E`` of the noiseless paths never
-    goes through the compiler: every engine takes it from
+    Every engine computes exact probabilities and then, with ``shots``, one
+    binomial shot-noise draw over them.  Exact probabilities come from the
+    analytic kernel :meth:`exact_levels_stack` wherever :attr:`analytic` is
+    set; the density-matrix engine's noisy and gate-level runs instead fold
+    the circuit into observables cached in a
+    :class:`~repro.quantum.compiler.CircuitCompiler` (shared LRU cache keyed
+    by circuit signature, noise fingerprint, and backend dtype).
+    ``compile_circuits=False`` runs those folded sweeps on the per-sample
+    reference simulator, kept as the oracle for the parity test suite.  The
+    member encoder ``E`` never goes through the compiler: every engine takes
+    it from
     :meth:`~repro.algorithms.ansatz.RandomAutoencoderAnsatz.encoder_unitary`.
     """
+
+    #: Whether :meth:`exact_levels_stack` computes this engine's exact P(1),
+    #: so a member chunk can run as one stacked call.
+    analytic = True
 
     def __init__(self, shots: Optional[int] = 4096,
                  rng: Optional[np.random.Generator] = None,
@@ -147,27 +151,20 @@ class SwapTestEngine(ABC):
         return self._rng
 
     @abstractmethod
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        """SWAP-test P(1) for every row of ``amplitudes`` (shape: samples x 2^n)."""
-
     def p1_levels_batch(self, amplitudes: np.ndarray,
                         ansatz: RandomAutoencoderAnsatz,
                         compression_levels: Sequence[int]) -> np.ndarray:
         """SWAP-test P(1) for every (level, sample) pair; shape ``(levels, samples)``.
 
-        This is the fused entry point the ensemble executor uses: one call per
-        member covers the member's whole compression sweep.  The default
-        implementation runs the levels sequentially through :meth:`p1_batch`
-        (consuming the shot-noise RNG in exactly the order the historical
-        per-level loop did); engines whose levels share expensive intermediate
-        state override it with a genuinely fused computation.
+        This is the fused entry point: one call per member covers the
+        member's whole compression sweep, and shot noise is one binomial draw
+        over the exact ``(levels, samples)`` array.
         """
-        levels = _validated_levels(compression_levels, ansatz.num_qubits)
-        return np.stack([
-            self.p1_batch(amplitudes, ansatz, level)
-            for level in levels
-        ])
+
+    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
+                 compression_level: int) -> np.ndarray:
+        """SWAP-test P(1) for every row of ``amplitudes`` (shape: samples x 2^n)."""
+        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
 
     def p1_single(self, amplitudes: Sequence[float],
                   ansatz: RandomAutoencoderAnsatz,
@@ -175,67 +172,6 @@ class SwapTestEngine(ABC):
         """Convenience wrapper for a single sample."""
         batch = np.asarray(amplitudes, dtype=float).reshape(1, -1)
         return float(self.p1_batch(batch, ansatz, compression_level)[0])
-
-    def _validated_amplitudes(self, amplitudes: np.ndarray,
-                              ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
-        """Level-independent amplitude validation, shared by every entry point.
-
-        Level sweeps validate amplitudes exactly once (and validate *every*
-        level of the sweep via :func:`_validated_levels`), rather than checking
-        the batch against the first level only.
-        """
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        if amplitudes.ndim != 2:
-            raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
-        return _validated_rows(amplitudes, ansatz.num_qubits)
-
-    def _validated_batch(self, amplitudes: np.ndarray,
-                         ansatz: RandomAutoencoderAnsatz,
-                         compression_level: int) -> np.ndarray:
-        """Common input validation for ``p1_batch`` implementations."""
-        if not 0 <= compression_level <= ansatz.num_qubits:
-            raise ValueError("compression level out of range")
-        return self._validated_amplitudes(amplitudes, ansatz)
-
-    def _apply_shot_noise(self, exact_p1: np.ndarray) -> np.ndarray:
-        """Replace exact probabilities with binomial shot estimates."""
-        if self.shots is None:
-            return exact_p1
-        return apply_shot_noise(exact_p1, self.shots, self.rng)
-
-
-class AnalyticEngine(SwapTestEngine):
-    """Exact reduced-density-matrix evaluation over members and samples.
-
-    For register A the circuit applies ``E``, resets the first ``k`` qubits, and
-    applies ``E^dagger``; the SWAP test against the untouched encoding ``|psi>``
-    then reads 1 with probability ``(1 - <psi| rho_A |psi>) / 2``.  Writing
-    ``|phi> = E |psi>`` and splitting the basis index into (reset bits ``s``, kept
-    bits ``r``), the overlap reduces to ``sum_s |<phi[:, 0], phi[:, s]>|^2`` --
-    a handful of dense inner products per sample.
-
-    :meth:`exact_levels_stack` evaluates a whole stack of members at once; the
-    per-member :meth:`p1_levels_batch` is its one-member case plus shot noise.
-    The engine never touches the circuit compiler: encoders come from
-    :func:`~repro.algorithms.ansatz.encoder_unitaries`.
-    """
-
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
-
-    def p1_levels_batch(self, amplitudes: np.ndarray,
-                        ansatz: RandomAutoencoderAnsatz,
-                        compression_levels: Sequence[int]) -> np.ndarray:
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        if amplitudes.ndim != 2:
-            raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
-        exact = self.exact_levels_stack(amplitudes[None],
-                                        ansatz.encoder_unitary()[None],
-                                        compression_levels)[0]
-        # One elementwise binomial call over the (levels, samples) array draws
-        # bit-identically to the historical sequential per-level calls.
-        return self._apply_shot_noise(exact)
 
     def exact_levels_stack(self, amplitudes: np.ndarray, encoders: np.ndarray,
                            compression_levels: Sequence[int]) -> np.ndarray:
@@ -265,6 +201,55 @@ class AnalyticEngine(SwapTestEngine):
         return np.ascontiguousarray(
             exact.reshape(len(levels), members, samples).transpose(1, 0, 2))
 
+    def _validated_amplitudes(self, amplitudes: np.ndarray,
+                              ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
+        """Level-independent amplitude validation, shared by every entry point.
+
+        Level sweeps validate amplitudes exactly once (and validate *every*
+        level of the sweep via :func:`_validated_levels`), rather than checking
+        the batch against the first level only.
+        """
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.ndim != 2:
+            raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
+        return _validated_rows(amplitudes, ansatz.num_qubits)
+
+    def _apply_shot_noise(self, exact_p1: np.ndarray) -> np.ndarray:
+        """Replace exact probabilities with binomial shot estimates."""
+        if self.shots is None:
+            return exact_p1
+        return apply_shot_noise(exact_p1, self.shots, self.rng)
+
+
+class AnalyticEngine(SwapTestEngine):
+    """Exact reduced-density-matrix evaluation over members and samples.
+
+    For register A the circuit applies ``E``, resets the first ``k`` qubits, and
+    applies ``E^dagger``; the SWAP test against the untouched encoding ``|psi>``
+    then reads 1 with probability ``(1 - <psi| rho_A |psi>) / 2``.  Writing
+    ``|phi> = E |psi>`` and splitting the basis index into (reset bits ``s``, kept
+    bits ``r``), the overlap reduces to ``sum_s |<phi[:, 0], phi[:, s]>|^2`` --
+    a handful of dense inner products per sample.
+
+    :meth:`exact_levels_stack` evaluates a whole stack of members at once; the
+    per-member :meth:`p1_levels_batch` is its one-member case plus shot noise.
+    The engine never touches the circuit compiler: encoders come from
+    :func:`~repro.algorithms.ansatz.encoder_unitaries`.
+    """
+
+    def p1_levels_batch(self, amplitudes: np.ndarray,
+                        ansatz: RandomAutoencoderAnsatz,
+                        compression_levels: Sequence[int]) -> np.ndarray:
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        if amplitudes.ndim != 2:
+            raise ValueError("amplitudes must be a 2-D batch (samples, 2**n)")
+        exact = self.exact_levels_stack(amplitudes[None],
+                                        ansatz.encoder_unitary()[None],
+                                        compression_levels)[0]
+        # One elementwise binomial call over the (levels, samples) array draws
+        # bit-identically to the historical sequential per-level calls.
+        return self._apply_shot_noise(exact)
+
 
 def _level_circuit(ansatz: RandomAutoencoderAnsatz,
                    compression_level: int) -> QuantumCircuit:
@@ -286,11 +271,11 @@ def _level_circuit(ansatz: RandomAutoencoderAnsatz,
 class DensityMatrixEngine(SwapTestEngine):
     """Exact density-matrix simulation (optionally noisy).
 
-    Noiseless ``initialize`` runs evolve register A's ``2^n x 2^n`` density
-    matrix for the whole sample batch at once; this is mathematically
-    identical to simulating the full ``2n+1``-qubit circuit (the reference
-    register stays pure and the SWAP test reads
-    ``P(1) = (1 - <psi| rho_A |psi>) / 2``).
+    Noiseless ``initialize`` runs are the analytic computation: the
+    reference register stays pure, so the SWAP test reads
+    ``P(1) = (1 - <psi| rho_A |psi>) / 2`` of register A alone, and the
+    engine evaluates it with :meth:`~SwapTestEngine.exact_levels_stack`
+    (:attr:`analytic` is set).
 
     Runs with a noise model or gate-level encoding fold the full circuit.
     Noise acts on each gate's own qubits and is chosen by gate name and
@@ -329,9 +314,10 @@ class DensityMatrixEngine(SwapTestEngine):
         self.noise_model = noise_model
         self.gate_level_encoding = gate_level_encoding
 
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        return self.p1_levels_batch(amplitudes, ansatz, (compression_level,))[0]
+    @property
+    def analytic(self) -> bool:
+        """Noiseless ``initialize`` runs; everything else folds."""
+        return self.noise_model is None and not self.gate_level_encoding
 
     def p1_levels_batch(self, amplitudes: np.ndarray,
                         ansatz: RandomAutoencoderAnsatz,
@@ -339,8 +325,10 @@ class DensityMatrixEngine(SwapTestEngine):
         levels = _validated_levels(compression_levels, ansatz.num_qubits)
         amplitudes = self._validated_amplitudes(amplitudes, ansatz)
         noise = self.noise_model
-        if noise is None and not self.gate_level_encoding:
-            exact = self._exact_levels_batch(amplitudes, ansatz, levels)
+        if self.analytic:
+            exact = self.exact_levels_stack(amplitudes[None],
+                                            ansatz.encoder_unitary()[None],
+                                            levels)[0]
         elif not self.compile_circuits:
             exact = self._oracle_levels(amplitudes, ansatz, levels)
         elif noise is not None and not noise.is_gate_local():
@@ -351,26 +339,6 @@ class DensityMatrixEngine(SwapTestEngine):
         # One elementwise binomial call over the (levels, samples) array draws
         # bit-identically to sequential per-level calls.
         return self._apply_shot_noise(exact)
-
-    def _exact_levels_batch(self, amplitudes: np.ndarray,
-                            ansatz: RandomAutoencoderAnsatz,
-                            levels: Sequence[int]) -> np.ndarray:
-        backend = self.backend
-        psi = backend.as_states(amplitudes)
-        encoder = ansatz.encoder_unitary()
-        decoder = encoder.conj().T
-        # Encoding and the pure-state density build are level-independent and
-        # run once for the whole sweep; only the (cheap) reset/decode/overlap
-        # tail is per level, each level's batch staying cache-sized.
-        phi = backend.apply_unitary_batch(psi, encoder)
-        rhos = backend.density_from_states(phi)
-        exact_p1 = np.empty((len(levels), amplitudes.shape[0]))
-        for position, level in enumerate(levels):
-            level_rhos = backend.reset_low_qubits_density_batch(rhos, level)
-            level_rhos = backend.evolve_density_batch(level_rhos, decoder)
-            overlap = backend.expectation_batch(level_rhos, psi)
-            exact_p1[position] = np.clip((1.0 - overlap) / 2.0, 0.0, 1.0)
-        return exact_p1
 
     def _folded_levels(self, amplitudes: np.ndarray,
                        ansatz: RandomAutoencoderAnsatz,
@@ -497,97 +465,6 @@ class DensityMatrixEngine(SwapTestEngine):
         return exact_p1
 
 
-class StatevectorEngine(SwapTestEngine):
-    """Trajectory-sampled simulation (no noise model support).
-
-    Every trajectory keeps register A pure: the partial reset becomes a
-    projective measurement (outcome drawn per trajectory) followed by a
-    conditional flip to |0>.  The engine therefore evolves a
-    ``(samples * trajectories, 2**n)`` batch of register-A states through the
-    backend kernels, computes each trajectory's exact ancilla probability
-    ``(1 - |<psi|phi_traj>|^2) / 2``, and distributes the shot budget over the
-    trajectories exactly like the per-circuit trajectory simulator does.
-    """
-
-    #: Upper bound on (samples x trajectories) rows evolved at once; chunks of
-    #: the sample axis keep peak memory bounded for large datasets while each
-    #: chunk still runs through one batched kernel call.
-    MAX_FLAT_BATCH = 1 << 15
-
-    def __init__(self, shots: Optional[int] = 4096,
-                 rng: Optional[np.random.Generator] = None,
-                 max_trajectories: Optional[int] = 64,
-                 simulation_backend: Union[str, SimulationBackend, None] = None,
-                 compiler: Optional[CircuitCompiler] = None,
-                 compile_circuits: bool = True
-                 ) -> None:
-        if shots is None:
-            raise ValueError("the statevector engine is shot-based; provide shots")
-        super().__init__(shots, rng, simulation_backend=simulation_backend,
-                         compiler=compiler, compile_circuits=compile_circuits)
-        self.max_trajectories = max_trajectories
-
-    def p1_batch(self, amplitudes: np.ndarray, ansatz: RandomAutoencoderAnsatz,
-                 compression_level: int) -> np.ndarray:
-        amplitudes = self._validated_batch(amplitudes, ansatz, compression_level)
-        num_samples = amplitudes.shape[0]
-
-        trajectories = self.shots
-        if compression_level == 0:
-            # No reset -> the circuit is deterministic; one trajectory suffices.
-            trajectories = 1
-        elif self.max_trajectories is not None:
-            trajectories = min(trajectories, self.max_trajectories)
-        trajectories = max(trajectories, 1)
-        shots_per_trajectory = np.asarray(self._split_shots(self.shots,
-                                                            trajectories))
-        trajectories = shots_per_trajectory.shape[0]
-
-        results = np.empty(num_samples)
-        chunk = max(1, self.MAX_FLAT_BATCH // trajectories)
-        for start in range(0, num_samples, chunk):
-            stop = min(start + chunk, num_samples)
-            results[start:stop] = self._p1_chunk(
-                amplitudes[start:stop], ansatz, compression_level,
-                trajectories, shots_per_trajectory,
-            )
-        return results
-
-    def _p1_chunk(self, amplitudes: np.ndarray,
-                  ansatz: RandomAutoencoderAnsatz, compression_level: int,
-                  trajectories: int,
-                  shots_per_trajectory: np.ndarray) -> np.ndarray:
-        """Trajectory-sample one chunk of samples as a single flat batch."""
-        backend = self.backend
-        encoder = ansatz.encoder_unitary()
-        psi = backend.as_states(amplitudes)
-        phi = backend.apply_unitary_batch(psi, encoder)
-        # One flat batch over (sample, trajectory) pairs; sample-major so that
-        # reshaping back to (samples, trajectories) is a plain view.
-        states = np.repeat(phi, trajectories, axis=0)
-        for qubit in range(compression_level):
-            probability_one = backend.probability_one_batch(states, qubit)
-            outcomes = (self.rng.random(states.shape[0])
-                        < probability_one).astype(int)
-            states = backend.collapse_qubit_batch(states, qubit, outcomes,
-                                                  reset_to_zero=True)
-        decoded = backend.apply_unitary_batch(states, encoder.conj().T)
-        fidelity = backend.overlap_batch(np.repeat(psi, trajectories, axis=0),
-                                         decoded)
-        p1 = np.clip((1.0 - fidelity) / 2.0, 0.0, 1.0)
-        p1 = p1.reshape(amplitudes.shape[0], trajectories)
-        ones = self.rng.binomial(shots_per_trajectory[None, :], p1).sum(axis=1)
-        return ones / float(self.shots)
-
-    @staticmethod
-    def _split_shots(shots: int, trajectories: int) -> list:
-        base = shots // trajectories
-        remainder = shots % trajectories
-        split = [base + (1 if index < remainder else 0)
-                 for index in range(trajectories)]
-        return [s for s in split if s > 0] or [shots]
-
-
 def make_engine(backend: str, shots: Optional[int],
                 rng: Optional[np.random.Generator] = None,
                 noisy: bool = False,
@@ -599,8 +476,8 @@ def make_engine(backend: str, shots: Optional[int],
                 ) -> SwapTestEngine:
     """Factory used by the detector to build the configured engine.
 
-    ``backend`` selects the *engine strategy* (``analytic`` / ``density_matrix``
-    / ``statevector``); ``simulation_backend`` selects the *numerical kernel
+    ``backend`` selects the *engine strategy* (``analytic`` /
+    ``density_matrix``); ``simulation_backend`` selects the *numerical kernel
     implementation* those engines run on (see :mod:`repro.quantum.backend`);
     ``compile_circuits`` selects between compiled-program execution (default)
     and the per-sample reference simulator; ``compiler`` overrides
@@ -624,11 +501,4 @@ def make_engine(backend: str, shots: Optional[int],
                                    simulation_backend=simulation_backend,
                                    compiler=compiler,
                                    compile_circuits=compile_circuits)
-    if backend == "statevector":
-        if noisy:
-            raise ValueError("the statevector engine cannot model hardware noise")
-        return StatevectorEngine(shots=shots or 1024, rng=rng,
-                                 simulation_backend=simulation_backend,
-                                 compiler=compiler,
-                                 compile_circuits=compile_circuits)
     raise ValueError(f"unknown backend {backend!r}")

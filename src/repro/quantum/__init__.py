@@ -1,4 +1,4 @@
-"""Quantum-computing substrate: circuit IR, simulators, noise, and transpilation.
+"""Quantum-computing substrate: circuit IR, the reference simulator, and noise.
 
 This subpackage is a from-scratch replacement for the slice of Qiskit / Qiskit Aer
 functionality that the Quorum paper depends on:
@@ -6,19 +6,19 @@ functionality that the Quorum paper depends on:
 * :mod:`repro.quantum.gates` -- gate matrices and parameterized gate factories.
 * :mod:`repro.quantum.circuit` -- a :class:`QuantumCircuit` IR with unitary gates,
   reset, mid-/end-circuit measurement, and barriers.
-* :mod:`repro.quantum.statevector` -- pure-state simulation utilities.
+* :mod:`repro.quantum.statevector` -- pure-state representation and the tensor
+  kernel every gate application uses.
 * :mod:`repro.quantum.density_matrix` -- exact mixed-state evolution (needed for the
   partial-reset bottleneck of the Quorum ansatz and for noise channels).
-* :mod:`repro.quantum.simulator` -- shot-based execution engines on top of the two
-  state representations.
+* :mod:`repro.quantum.simulator` -- the per-sample density-matrix simulator, the
+  reference oracle of the SWAP-test engines.
 * :mod:`repro.quantum.noise` -- Kraus channels and the :class:`NoiseModel` container.
 * :mod:`repro.quantum.backend` -- pluggable batched simulation backends (the
-  einsum/tensordot kernels the simulators and SWAP-test engines run on).
+  einsum/tensordot kernels the simulator and SWAP-test engines run on).
 * :mod:`repro.quantum.backends` -- calibration-style descriptions of fake devices
   (notably a Brisbane-like backend built from the medians quoted in the paper).
-* :mod:`repro.quantum.transpiler` -- basis decomposition and peephole optimization.
-* :mod:`repro.quantum.compiler` -- ahead-of-time lowering of circuits (plus noise
-  models) into cached programs of fused dense operators.
+* :mod:`repro.quantum.compiler` -- ahead-of-time folding of noisy circuits into
+  cached dense observables.
 * :mod:`repro.quantum.operators` -- partial trace, fidelity, purity helpers.
 """
 
@@ -30,18 +30,9 @@ from repro.quantum.backend import (
     register_simulation_backend,
 )
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.compiler import (
-    CircuitCompiler,
-    CompiledProgram,
-    FusedOperator,
-    default_compiler,
-)
+from repro.quantum.compiler import CircuitCompiler, default_compiler
 from repro.quantum.gates import GATE_MATRICES, standard_gate_matrix
-from repro.quantum.simulator import (
-    DensityMatrixSimulator,
-    ExecutionResult,
-    StatevectorSimulator,
-)
+from repro.quantum.simulator import DensityMatrixSimulator, ExecutionResult
 from repro.quantum.noise import NoiseModel
 from repro.quantum.backends import FakeBrisbane, BackendProperties
 from repro.quantum.statevector import Statevector
@@ -56,12 +47,9 @@ __all__ = [
     "Instruction",
     "QuantumCircuit",
     "CircuitCompiler",
-    "CompiledProgram",
-    "FusedOperator",
     "default_compiler",
     "GATE_MATRICES",
     "standard_gate_matrix",
-    "StatevectorSimulator",
     "DensityMatrixSimulator",
     "ExecutionResult",
     "NoiseModel",

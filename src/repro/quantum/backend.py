@@ -3,11 +3,11 @@
 This module is the pluggable *execution backend* layer (not to be confused with
 :mod:`repro.quantum.backends`, which describes fake *hardware* devices for noise
 modelling).  A :class:`SimulationBackend` owns the low-level batched linear
-algebra -- gate application, projective collapse, density-matrix channels,
-overlap reductions -- so that the SWAP-test engines in
-:mod:`repro.core.execution` and the circuit simulators in
-:mod:`repro.quantum.simulator` can push whole sample (and trajectory) batches
-through one einsum/tensordot kernel instead of looping in Python.
+algebra -- gate application, density-matrix channels, the analytic overlap
+reduction -- so that the SWAP-test engines in :mod:`repro.core.execution`
+and the reference simulator in :mod:`repro.quantum.simulator` can push whole
+sample batches through one einsum/tensordot kernel instead of looping in
+Python.
 
 Batching contract
 -----------------
@@ -49,7 +49,7 @@ class SimulationBackend(ABC):
     """Batched linear-algebra primitives shared by all execution engines.
 
     Subclasses provide the array kernels; everything above this layer (circuit
-    walking, trajectory branching, shot sampling) is backend-agnostic.  All
+    walking, folding, shot sampling) is backend-agnostic.  All
     primitives follow the leading-batch-axis contract documented in the module
     docstring.
     """
@@ -74,30 +74,6 @@ class SimulationBackend(ABC):
         in :func:`repro.quantum.statevector.apply_unitary_to_tensor`.
         """
 
-    @abstractmethod
-    def apply_unitary_batch(self, states: np.ndarray,
-                            unitary: np.ndarray) -> np.ndarray:
-        """Apply a dense full-register unitary to every state in the batch."""
-
-    @abstractmethod
-    def probability_one_batch(self, states: np.ndarray, qubit: int) -> np.ndarray:
-        """P(measuring ``qubit`` = 1) for every state; shape ``(batch,)``."""
-
-    @abstractmethod
-    def collapse_qubit_batch(self, states: np.ndarray, qubit: int,
-                             outcomes: np.ndarray,
-                             reset_to_zero: bool = False) -> np.ndarray:
-        """Project ``qubit`` onto per-state ``outcomes`` (0/1) and renormalize.
-
-        With ``reset_to_zero`` the surviving branch is moved into the
-        ``qubit = 0`` subspace (measure-and-conditionally-flip reset).
-        """
-
-    @abstractmethod
-    def overlap_batch(self, states_a: np.ndarray,
-                      states_b: np.ndarray) -> np.ndarray:
-        """Row-wise fidelity ``|<a_i|b_i>|^2``; shape ``(batch,)``."""
-
     # --------------------------------------------------------- density matrices
     @abstractmethod
     def density_from_states(self, states: np.ndarray) -> np.ndarray:
@@ -107,21 +83,6 @@ class SimulationBackend(ABC):
     def apply_gate_density_batch(self, rhos: np.ndarray, gate: np.ndarray,
                                  qubits: Sequence[int]) -> np.ndarray:
         """Conjugate every density matrix by a local gate: ``U rho U^dagger``."""
-
-    @abstractmethod
-    def evolve_density_batch(self, rhos: np.ndarray,
-                             unitary: np.ndarray) -> np.ndarray:
-        """Conjugate every density matrix by a dense full-register unitary."""
-
-    @abstractmethod
-    def reset_low_qubits_density_batch(self, rhos: np.ndarray,
-                                       num_reset: int) -> np.ndarray:
-        """Non-selectively reset qubits ``0 .. num_reset-1`` of every matrix."""
-
-    @abstractmethod
-    def expectation_batch(self, rhos: np.ndarray,
-                          states: np.ndarray) -> np.ndarray:
-        """Row-wise ``<psi_i| rho_i |psi_i>`` (real part); shape ``(batch,)``."""
 
     @abstractmethod
     def apply_superoperator_density_batch(self, rhos: np.ndarray,
@@ -255,61 +216,6 @@ class NumpyBackend(SimulationBackend):
                                          axis_offset=1)
         return np.ascontiguousarray(result).reshape(batch, dim)
 
-    def apply_unitary_batch(self, states: np.ndarray,
-                            unitary: np.ndarray) -> np.ndarray:
-        states = self.as_states(states)
-        unitary = np.asarray(unitary, dtype=self.dtype)
-        if unitary.shape != (states.shape[1], states.shape[1]):
-            raise ValueError("unitary shape does not match the state dimension")
-        # Row i of the result is U |psi_i>.
-        return states @ unitary.T
-
-    def probability_one_batch(self, states: np.ndarray, qubit: int) -> np.ndarray:
-        states = self.as_states(states)
-        batch, dim = states.shape
-        num_qubits = self._num_qubits(dim)
-        if not 0 <= qubit < num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        low = 2 ** qubit
-        blocks = states.reshape(batch, dim // (2 * low), 2, low)
-        return np.sum(np.abs(blocks[:, :, 1, :]) ** 2, axis=(1, 2))
-
-    def collapse_qubit_batch(self, states: np.ndarray, qubit: int,
-                             outcomes: np.ndarray,
-                             reset_to_zero: bool = False) -> np.ndarray:
-        states = self.as_states(states)
-        batch, dim = states.shape
-        num_qubits = self._num_qubits(dim)
-        if not 0 <= qubit < num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        outcomes = np.asarray(outcomes)
-        if outcomes.shape != (batch,):
-            raise ValueError("outcomes must hold one 0/1 value per state")
-        low = 2 ** qubit
-        blocks = states.reshape(batch, dim // (2 * low), 2, low).copy()
-        ones = outcomes.astype(bool)
-        blocks[~ones, :, 1, :] = 0.0
-        if reset_to_zero:
-            blocks[ones, :, 0, :] = blocks[ones, :, 1, :]
-            blocks[ones, :, 1, :] = 0.0
-        else:
-            blocks[ones, :, 0, :] = 0.0
-        collapsed = blocks.reshape(batch, dim)
-        norms = np.linalg.norm(collapsed, axis=1, keepdims=True)
-        if np.any(norms < 1e-15):
-            raise RuntimeError("collapse produced a zero-norm state; the drawn "
-                               "outcome had probability 0")
-        return collapsed / norms
-
-    def overlap_batch(self, states_a: np.ndarray,
-                      states_b: np.ndarray) -> np.ndarray:
-        states_a = self.as_states(states_a)
-        states_b = self.as_states(states_b)
-        if states_a.shape != states_b.shape:
-            raise ValueError("state batches must have identical shapes")
-        inner = np.einsum("bi,bi->b", states_a.conj(), states_b)
-        return np.abs(inner) ** 2
-
     # --------------------------------------------------------- density matrices
     def density_from_states(self, states: np.ndarray) -> np.ndarray:
         states = self.as_states(states)
@@ -336,43 +242,6 @@ class NumpyBackend(SimulationBackend):
                                          num_qubits,
                                          axis_offset=1 + num_qubits)
         return np.ascontiguousarray(tensor).reshape(batch, dim, dim)
-
-    def evolve_density_batch(self, rhos: np.ndarray,
-                             unitary: np.ndarray) -> np.ndarray:
-        rhos = np.asarray(rhos, dtype=self.dtype)
-        unitary = np.asarray(unitary, dtype=self.dtype)
-        if rhos.ndim != 3 or unitary.shape != rhos.shape[1:]:
-            raise ValueError("unitary shape does not match the density batch")
-        return unitary @ rhos @ unitary.conj().T
-
-    def reset_low_qubits_density_batch(self, rhos: np.ndarray,
-                                       num_reset: int) -> np.ndarray:
-        rhos = np.asarray(rhos, dtype=self.dtype)
-        if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
-            raise ValueError("a density batch must be (batch, d, d)")
-        if num_reset == 0:
-            return rhos.copy()
-        batch, dim = rhos.shape[0], rhos.shape[1]
-        num_qubits = self._num_qubits(dim)
-        if not 0 <= num_reset <= num_qubits:
-            raise ValueError("num_reset out of range")
-        reset_dim = 2 ** num_reset
-        kept_dim = dim // reset_dim
-        # Little-endian: the reset qubits are the fastest-varying index block.
-        blocks = rhos.reshape(batch, kept_dim, reset_dim, kept_dim, reset_dim)
-        traced = np.einsum("bksls->bkl", blocks)
-        result = np.zeros_like(blocks)
-        result[:, :, 0, :, 0] = traced
-        return result.reshape(batch, dim, dim)
-
-    def expectation_batch(self, rhos: np.ndarray,
-                          states: np.ndarray) -> np.ndarray:
-        rhos = np.asarray(rhos, dtype=self.dtype)
-        states = self.as_states(states)
-        if rhos.ndim != 3 or rhos.shape[:2] != states.shape:
-            raise ValueError("density batch does not match the state batch")
-        values = np.einsum("bi,bij,bj->b", states.conj(), rhos, states)
-        return np.real(values)
 
     def _validated_density_batch(self, rhos: np.ndarray) -> Tuple[np.ndarray, int]:
         rhos = np.asarray(rhos, dtype=self.dtype)
@@ -456,24 +325,13 @@ class NumpyFloat32Backend(NumpyBackend):
     States and density matrices are held in ``complex64`` and every kernel runs
     in single precision, validating the backend plug point beyond the reference
     implementation (and halving memory traffic).  Probability-valued reductions
-    are cast back to ``float64`` so downstream scoring code sees the usual
+    land in ``float64`` arrays so downstream scoring code sees the usual
     result dtype; accuracy is limited to roughly ``1e-6`` on the small registers
     Quorum uses, which the cross-validation tests assert explicitly.
     """
 
     name = "numpy-float32"
     dtype: np.dtype = np.dtype(np.complex64)
-
-    def probability_one_batch(self, states: np.ndarray, qubit: int) -> np.ndarray:
-        return super().probability_one_batch(states, qubit).astype(np.float64)
-
-    def overlap_batch(self, states_a: np.ndarray,
-                      states_b: np.ndarray) -> np.ndarray:
-        return super().overlap_batch(states_a, states_b).astype(np.float64)
-
-    def expectation_batch(self, rhos: np.ndarray,
-                          states: np.ndarray) -> np.ndarray:
-        return super().expectation_batch(rhos, states).astype(np.float64)
 
 
 _REGISTRY: Dict[str, Callable[[], SimulationBackend]] = {}

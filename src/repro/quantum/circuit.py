@@ -364,7 +364,7 @@ class QuantumCircuit:
         return self
 
     def barrier(self, *qubits: int) -> "QuantumCircuit":
-        """Insert a barrier (a no-op marker that blocks transpiler optimization)."""
+        """Insert a barrier (a no-op marker; simulation skips it)."""
         targets = qubits if qubits else tuple(range(self.num_qubits))
         targets = self._check_qubits(targets)
         self.instructions.append(Instruction(name="barrier", qubits=targets))

@@ -1,36 +1,28 @@
-"""Ahead-of-time circuit compilation into fused dense operators.
+"""Ahead-of-time folding of noisy circuits into cached dense observables.
 
 The simulators in :mod:`repro.quantum.simulator` interpret circuits gate by
 gate: every instruction becomes one (or, with noise, two to three) batched
-tensor contractions.  For the Quorum workload almost all of that structure is
-known before the first sample arrives -- the ansatz is fixed per ensemble
-member and the reset+decoder+SWAP-test suffix is identical for every sample --
-so this module *lowers* a :class:`~repro.quantum.circuit.QuantumCircuit` (plus
-an optional :class:`~repro.quantum.noise.NoiseModel`) into a compiled program
-of a few precomposed dense operators that the engines replay with a handful of
-batched matmuls.
+tensor contractions.  For the Quorum workload everything after state
+preparation -- the member's encoder, the resets, the decoder and the SWAP test
+-- is known before the first sample arrives, so this module lowers that
+sample-independent part of a :class:`~repro.quantum.circuit.QuantumCircuit`
+(plus an optional :class:`~repro.quantum.noise.NoiseModel`) once.
 
-Two lowerings are provided:
+:meth:`CircuitCompiler.dual_observable` is a Heisenberg-picture compilation of
+a noisy channel followed by a single-qubit readout.  Every gate is composed
+with its noise channel and every reset becomes the reset channel; the ancilla
+projector ``M`` is pulled back through the channel's adjoint once, yielding a
+dense observable ``W = C^dagger(M)`` with ``P(1) = <W, rho> = Tr(W^dagger rho)``.
+The folded density-matrix engine
+(:class:`repro.core.execution.DensityMatrixEngine`) compiles one per (member,
+compression level) and contracts it against every sample.
 
-* :meth:`CircuitCompiler.unitary_program` / :meth:`CircuitCompiler.fused_unitary`
-  -- pure-state compilation.  Contiguous runs of unitary gates are fused into
-  one dense ``2^k x 2^k`` unitary per support block (for the Quorum encoder:
-  ONE ``2^n x 2^n`` matrix per member, applied as a single batched matmul).
-* :meth:`CircuitCompiler.dual_observable` -- Heisenberg-picture compilation of
-  a noisy channel followed by a single-qubit readout.  Every gate is composed
-  with its noise channel and every reset becomes the reset channel; the
-  ancilla projector ``M`` is pulled back through the channel's adjoint once,
-  yielding a dense observable ``W = C^dagger(M)`` with
-  ``P(1) = <W, rho> = Tr(W^dagger rho)``.  The folded density-matrix engine
-  (:class:`repro.core.execution.DensityMatrixEngine`) compiles one per
-  (member, compression level) and contracts it against every sample.
-
-Compiled artifacts live in a thread-safe LRU cache keyed by (program kind,
-circuit signature, noise-model fingerprint, backend dtype), so sweeping the
-same member across compression levels, ensemble repetitions, or benchmark
-rounds never recompiles.  :data:`default_compiler` returns the process-wide
-shared instance; `QuorumCircuitFactory` and the execution engines share it
-unless given their own.
+Observables live in a thread-safe LRU cache keyed by (circuit signature,
+noise-model fingerprint, backend dtype, readout qubit), so sweeping the same
+member across ensemble repetitions or benchmark rounds never recompiles.
+:data:`default_compiler` returns the process-wide shared instance;
+`QuorumCircuitFactory` and the execution engines share it unless given their
+own.
 
 The per-sample :class:`~repro.quantum.simulator.DensityMatrixSimulator`
 remains the reference path (select it with ``compile_circuits=False``); the
@@ -42,59 +34,21 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.quantum.backend import SimulationBackend, get_simulation_backend
-from repro.quantum.circuit import Instruction, QuantumCircuit
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.transpiler import optimize_instructions
 
 __all__ = [
-    "FusedOperator",
-    "CompiledProgram",
     "CompilerStats",
     "CircuitCompiler",
     "circuit_signature",
     "noise_model_fingerprint",
     "default_compiler",
 ]
-
-@dataclass(frozen=True, eq=False)
-class FusedOperator:
-    """One precomposed dense unitary of a compiled program.
-
-    Compared by identity (``eq=False``): a generated ``__eq__`` over the
-    ndarray field would raise on truth-value ambiguity, and programs are
-    deduplicated by cache key, never by value.
-
-    Attributes
-    ----------
-    matrix:
-        The dense ``2^k x 2^k`` unitary, read-only, in the compiling backend's
-        dtype.
-    qubits:
-        Ascending global support qubits; the first listed qubit is the
-        least-significant index of ``matrix``, matching the backend kernels.
-    """
-
-    matrix: np.ndarray
-    qubits: Tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledProgram:
-    """An ordered sequence of fused operators equivalent to a circuit walk.
-
-    Compared by identity, like :class:`FusedOperator`.
-    """
-
-    num_qubits: int
-    operators: Tuple[FusedOperator, ...]
-
-    def __len__(self) -> int:
-        return len(self.operators)
 
 
 @dataclass
@@ -104,7 +58,7 @@ class CompilerStats:
     ``compiles`` counts actual lowerings; ``hits``/``misses`` count cache
     lookups.  A repeated compile of the same (circuit, noise model, dtype)
     must increment ``hits`` and leave ``compiles`` unchanged.  ``fallbacks``
-    counts engine calls that could not use compiled programs and ran the
+    counts engine calls that could not use compiled observables and ran the
     per-sample reference simulator instead (a noise model that is not
     gate-local).
     """
@@ -118,8 +72,8 @@ class CompilerStats:
 def circuit_signature(circuit: QuantumCircuit) -> Tuple:
     """Hashable fingerprint of a circuit's instruction stream.
 
-    Two circuits with equal signatures lower to identical compiled programs:
-    the signature covers names, qubits, parameters, classical bits, and the
+    Two circuits with equal signatures lower to identical observables: the
+    signature covers names, qubits, parameters, classical bits, and the
     raw bytes of explicit ``unitary`` matrices and ``initialize`` payloads.
     """
     items = []
@@ -138,7 +92,7 @@ def noise_model_fingerprint(noise_model: Optional[NoiseModel]) -> Optional[Tuple
 
     Delegates to :meth:`repro.quantum.noise.NoiseModel.fingerprint`, so two
     independently built but identical models (e.g. one ``FakeBrisbane`` model
-    per ensemble member) share compiled-program cache entries.
+    per ensemble member) share compiled-observable cache entries.
     """
     if noise_model is None:
         return None
@@ -163,52 +117,35 @@ class _ChannelOp:
 
 
 class CircuitCompiler:
-    """Lower circuits to compiled programs, memoized in a bounded LRU cache.
+    """Compile dual observables, memoized in a bounded LRU cache.
 
     Parameters
     ----------
     max_entries:
-        LRU capacity; one entry is one compiled program / fused matrix.
+        LRU capacity; one entry is one compiled observable.
     max_bytes:
         LRU capacity in payload bytes (dense observables grow quartically with
         the register, so a count bound alone could pin gigabytes; the byte
-        bound evicts least-recently-used programs first, like the count
+        bound evicts least-recently-used observables first, like the count
         bound).
-    optimize:
-        Run the transpiler's peephole passes (trivial-gate pruning, rotation
-        merging, self-inverse cancellation) over unitary runs before fusing.
-        Off by default: optimization changes the floating-point operator (only
-        up to global phase / 1e-12), while the default compilation is chosen
-        to be *bitwise* reproducible against the interpreted reference for
-        pure-state paths.  Never applied to noisy compilation, where dropping
-        or merging a gate would also drop its noise channel.
     """
 
     def __init__(self, max_entries: int = 256,
-                 max_bytes: int = 256 * 1024 * 1024,
-                 optimize: bool = False) -> None:
+                 max_bytes: int = 256 * 1024 * 1024) -> None:
         if max_entries < 1:
-            raise ValueError("the compiled-program cache needs at least one entry")
+            raise ValueError("the compiler cache needs at least one entry")
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self.optimize = bool(optimize)
         self.stats = CompilerStats()
-        self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         self._cached_bytes = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ cache
-    @staticmethod
-    def _payload_bytes(value: object) -> int:
-        if isinstance(value, np.ndarray):
-            return value.nbytes
-        if isinstance(value, CompiledProgram):
-            return sum(op.matrix.nbytes for op in value.operators)
-        return 0
-
-    def _get_or_compile(self, key: Tuple, builder: Callable[[], object]) -> object:
+    def _get_or_compile(self, key: Tuple,
+                        builder: Callable[[], np.ndarray]) -> np.ndarray:
         with self._lock:
             if key in self._cache:
                 self._cache.move_to_end(key)
@@ -219,13 +156,13 @@ class CircuitCompiler:
         with self._lock:
             self.stats.compiles += 1
             if key not in self._cache:
-                self._cached_bytes += self._payload_bytes(value)
+                self._cached_bytes += value.nbytes
             self._cache[key] = value
             self._cache.move_to_end(key)
             while self._cache and (len(self._cache) > self.max_entries
                                    or self._cached_bytes > self.max_bytes):
                 _, evicted = self._cache.popitem(last=False)
-                self._cached_bytes -= self._payload_bytes(evicted)
+                self._cached_bytes -= evicted.nbytes
         return value
 
     def record_fallback(self) -> None:
@@ -244,7 +181,7 @@ class CircuitCompiler:
             return self._cached_bytes
 
     def clear(self) -> None:
-        """Drop every cached program (stats are kept)."""
+        """Drop every cached observable (stats are kept)."""
         with self._lock:
             self._cache.clear()
             self._cached_bytes = 0
@@ -253,62 +190,12 @@ class CircuitCompiler:
     # worker process (e.g. inside a pickled factory) re-starts empty there.
     def __getstate__(self) -> dict:
         return {"max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "optimize": self.optimize}
+                "max_bytes": self.max_bytes}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)
 
     # ------------------------------------------------------------ public API
-    def unitary_program(self, circuit: QuantumCircuit,
-                        backend: Union[str, SimulationBackend, None] = None
-                        ) -> CompiledProgram:
-        """Compile a purely unitary circuit into one fused dense unitary.
-
-        Barriers are dropped; ``reset``/``measure``/``initialize`` are
-        rejected (pure-state compilation has no channel semantics for them).
-        The whole gate stream fuses into a single block on the union of the
-        gate supports -- every register this project compiles is small enough
-        that the dense block unitary stays tiny (``<= 2^9``), so no
-        support-size splitting is needed on the pure-state side.
-        """
-        backend = get_simulation_backend(backend)
-        key = ("unitary_program", str(backend.dtype), self.optimize,
-               circuit_signature(circuit))
-        return self._get_or_compile(
-            key, lambda: self._build_unitary_program(circuit, backend))
-
-    def fused_unitary(self, circuit: QuantumCircuit,
-                      backend: Union[str, SimulationBackend, None] = None
-                      ) -> np.ndarray:
-        """The whole circuit as ONE dense full-register unitary (cached).
-
-        The fused blocks are pushed through the backend's batched gate kernel
-        (:meth:`~repro.quantum.backend.SimulationBackend.unitary_from_instructions`),
-        so for an unoptimized circuit the result is bitwise the gate-by-gate
-        unitary.  The SWAP-test engines do not use it for the member ansatz:
-        their encoders come from
-        :func:`repro.algorithms.ansatz.encoder_unitaries`.
-        """
-        backend = get_simulation_backend(backend)
-        key = ("fused_unitary", str(backend.dtype), self.optimize,
-               circuit_signature(circuit))
-
-        def build() -> np.ndarray:
-            program = self._build_unitary_program(circuit, backend)
-            if (len(program.operators) == 1
-                    and program.operators[0].qubits
-                    == tuple(range(circuit.num_qubits))):
-                return program.operators[0].matrix
-            matrix = backend.unitary_from_instructions(
-                [(op.matrix, op.qubits) for op in program.operators],
-                circuit.num_qubits,
-            )
-            matrix.setflags(write=False)
-            return matrix
-
-        return self._get_or_compile(key, build)
-
     def dual_observable(self, circuit: QuantumCircuit,
                         noise_model: Optional[NoiseModel],
                         qubit: int,
@@ -355,45 +242,6 @@ class CircuitCompiler:
         return self._get_or_compile(key, build)
 
     # -------------------------------------------------------------- lowering
-    def _build_unitary_program(self, circuit: QuantumCircuit,
-                               backend: SimulationBackend) -> CompiledProgram:
-        instructions: List[Instruction] = []
-        for instruction in circuit.instructions:
-            if instruction.name == "barrier":
-                continue
-            if not instruction.is_unitary:
-                raise ValueError(
-                    "unitary programs cannot contain "
-                    f"'{instruction.name}'; use dual_observable for circuits "
-                    "with reset, or keep initialize in the per-sample prefix"
-                )
-            instructions.append(instruction)
-        if self.optimize:
-            instructions = optimize_instructions(instructions)
-        operators: List[FusedOperator] = []
-        if instructions:
-            support = sorted({qubit for instruction in instructions
-                              for qubit in instruction.qubits})
-            operators.append(self._fused_unitary_block(instructions, support,
-                                                       backend))
-        return CompiledProgram(num_qubits=circuit.num_qubits,
-                               operators=tuple(operators))
-
-    def _fused_unitary_block(self, run: Sequence[Instruction],
-                             support: Sequence[int],
-                             backend: SimulationBackend) -> FusedOperator:
-        """Fuse one gate run into a dense unitary on its (ascending) support."""
-        rank = {qubit: position for position, qubit in enumerate(support)}
-        remapped = [
-            (instruction.matrix_or_standard(),
-             tuple(rank[q] for q in instruction.qubits))
-            for instruction in run
-        ]
-        matrix = backend.unitary_from_instructions(remapped, len(support))
-        matrix.setflags(write=False)
-        return FusedOperator(matrix=matrix,
-                             qubits=tuple(int(q) for q in support))
-
     def _channel_steps(self, circuit: QuantumCircuit,
                        noise_model: Optional[NoiseModel],
                        backend: SimulationBackend) -> List[_ChannelOp]:

@@ -1,4 +1,4 @@
-"""Gate matrices for the simulator and transpiler.
+"""Gate matrices for the simulators and the circuit compiler.
 
 All matrices follow the little-endian qubit convention used throughout the package:
 for a multi-qubit gate acting on qubits ``(q0, q1, ...)``, index 0 of the matrix's

@@ -20,16 +20,16 @@ A request runs the way the fit runs a member chunk: members go in chunks of
 :func:`~repro.core.ensemble.members_per_chunk` of the request's rows, and
 each chunk is one gather plus one amplitude encoding, then one exact sweep
 (:func:`~repro.core.ensemble.exact_chunk_p1`: a single
-``exact_levels_stack`` call for the analytic engine, one ``p1_levels_batch``
-per member for density matrices), then shot noise and one stacked scoring
+``exact_levels_stack`` call for analytic runs, one ``p1_levels_batch`` per
+member for folded density matrices), then shot noise and one stacked scoring
 pass.  Everything per member that does not depend on the request -- the
 feature-selection matrix, the encoder stack, the reference statistics, the
 bucket labels, the post-planning RNG state -- is built once at load.
 
 Determinism and micro-batching
 ------------------------------
-For the analytic and density-matrix engines, shot noise is a single binomial
-draw applied *after* the exact probability sweep.  The scorer exploits this:
+For both engines, shot noise is a single binomial draw applied *after* the
+exact probability sweep.  The scorer exploits this:
 the expensive linear algebra runs **exactly** (``shots=None``), and each
 request's shot noise is drawn afterwards, one member at a time, from that
 member's generator reset to its persisted post-planning state (the
@@ -44,11 +44,6 @@ Two consequences:
 The micro-batching queue (:meth:`OnlineScorer.submit`) dispatches a request
 at once when the worker is idle; requests that arrive while a batch runs
 coalesce into the next one, whose rows share every chunk's exact sweep.
-
-The trajectory-sampled statevector engine consumes randomness *during*
-evolution, so its requests are executed one at a time, one engine call per
-member on the member's reset generator; they still flow through the same
-queue.
 """
 
 from __future__ import annotations
@@ -63,9 +58,9 @@ import numpy as np
 
 from repro.algorithms.ansatz import encoder_unitaries
 from repro.core.config import QuorumConfig
-from repro.core.ensemble import (EXACT_BACKENDS, chunk_amplitudes,
-                                 chunk_bucket_scores, config_engine,
-                                 exact_chunk_p1, members_per_chunk)
+from repro.core.ensemble import (chunk_amplitudes, chunk_bucket_scores,
+                                 config_engine, exact_chunk_p1,
+                                 members_per_chunk)
 from repro.core.execution import apply_shot_noise
 from repro.core.scoring import BucketStatistics, StackedReference
 from repro.quantum.compiler import CircuitCompiler, default_compiler
@@ -205,15 +200,13 @@ class OnlineScorer:
         # state again.
         self._rngs = [member.restored_rng() for member in members]
         self._rng_states = [rng.bit_generator.state for rng in self._rngs]
-        self._fusable = config.backend in EXACT_BACKENDS
         # Exact probabilities only -- per-request shot noise is applied
         # afterwards from each member's reset generator, which is what makes
         # coalesced and serial submission bitwise identical.
-        self._exact_engine = (config_engine(config, None,
-                                            compiler=self.compiler)
-                              if self._fusable else None)
+        self._exact_engine = config_engine(config, None,
+                                           compiler=self.compiler)
         self._encoders = (encoder_unitaries(self._ansatzes)
-                          if config.backend == "analytic" else None)
+                          if self._exact_engine.analytic else None)
 
         self._lock = threading.Lock()
         # Serializes the shared exact engine and the shared member
@@ -273,29 +266,16 @@ class OnlineScorer:
         rng.bit_generator.state = self._rng_states[index]
         return rng
 
-    def _chunk_p1(self, normalized: np.ndarray, start: int, stop: int,
-                  rngs: Optional[List[np.random.Generator]]) -> np.ndarray:
-        """``(members, levels, rows)`` P(1) of members ``start .. stop``.
-
-        Exact for the fusable engines; trajectory engines draw their shots
-        during evolution, from each member's generator.
-        """
+    def _chunk_p1(self, normalized: np.ndarray, start: int,
+                  stop: int) -> np.ndarray:
+        """Exact ``(members, levels, rows)`` P(1) of members ``start .. stop``."""
         amplitudes = chunk_amplitudes(normalized, self._features[start:stop],
                                       self.config.num_qubits)
-        ansatzes = self._ansatzes[start:stop]
-        if self._fusable:
-            encoders = (None if self._encoders is None
-                        else self._encoders[start:stop])
-            return exact_chunk_p1(self._exact_engine, amplitudes, ansatzes,
-                                  self.levels, encoders)
-        return np.stack([
-            config_engine(self.config, self.config.shots,
-                          rng=self._member_rng(start + offset, rngs),
-                          compiler=self.compiler).p1_levels_batch(
-                member_amplitudes, ansatz, self.levels)
-            for offset, (member_amplitudes, ansatz)
-            in enumerate(zip(amplitudes, ansatzes))
-        ])
+        encoders = (None if self._encoders is None
+                    else self._encoders[start:stop])
+        return exact_chunk_p1(self._exact_engine, amplitudes,
+                              self._ansatzes[start:stop], self.levels,
+                              encoders)
 
     def _shot_noise(self, exact: np.ndarray, start: int,
                     rngs: Optional[List[np.random.Generator]]) -> np.ndarray:
@@ -330,7 +310,7 @@ class OnlineScorer:
 
         One pass over member chunks serves every request: the requests share
         each chunk's sweep, and each draws its own shot noise and scores its
-        own rows.  Trajectory engines take exactly one request.
+        own rows.
         """
         num_members = len(self._ansatzes)
         totals = [np.zeros(window.stop - window.start)
@@ -342,13 +322,12 @@ class OnlineScorer:
             for start in range(0, num_members, size):
                 stop = min(start + size, num_members)
                 begin = time.perf_counter()
-                p1_values = self._chunk_p1(normalized, start, stop, rngs)
+                p1_values = self._chunk_p1(normalized, start, stop)
                 engine_s += time.perf_counter() - begin
                 for index, (window, mode) in enumerate(requests):
                     begin = time.perf_counter()
-                    request_p1 = p1_values[:, :, window]
-                    if self._fusable:
-                        request_p1 = self._shot_noise(request_p1, start, rngs)
+                    request_p1 = self._shot_noise(p1_values[:, :, window],
+                                                  start, rngs)
                     totals[index] = _add_members(
                         totals[index],
                         self._deviations(request_p1, start, mode))
@@ -517,15 +496,6 @@ class OnlineScorer:
             self._stats["batches"] += 1
             self._stats["coalesced_requests"] += len(batch)
         self._m_batches.inc()
-        if not self._fusable:
-            # Trajectory engines draw during evolution: one request at a time.
-            for request in batch:
-                self._resolve(
-                    request,
-                    lambda req=request: self._merge_timings(
-                        self._score_rows(req.normalized, req.mode),
-                        {"queue_wait": queue_waits[id(req)]}))
-            return
         try:
             assembly_start = time.perf_counter()
             stacked = np.concatenate([request.normalized for request in batch])
@@ -610,7 +580,6 @@ class OnlineScorer:
                 **serving,
                 "max_batch_samples": self.max_batch_samples,
                 "batch_window_s": self.batch_window_s,
-                "micro_batch_fusion": self._fusable,
             },
             "compiler_cache": {
                 "compiles": stats.compiles,

@@ -8,8 +8,8 @@ stdlib-only and cheap enough to stay on for every request:
 * :class:`MetricsRegistry` -- thread-safe counters, gauges, and fixed-bucket
   latency histograms with exact p50/p95/p99 readout (a bounded reservoir of
   raw observations backs the percentiles, so they interpolate exactly like
-  :func:`repro.serving.loadtest.percentile` instead of quantizing to bucket
-  edges).  One process-global default registry
+  the loadtest's client-side percentiles -- both use :func:`percentile` --
+  instead of quantizing to bucket edges).  One process-global default registry
   (:func:`default_registry`) serves the common case; tests inject private
   instances.  Snapshots render as JSON (``GET /v1/metrics``) and as
   Prometheus text exposition (``?format=prometheus``).
@@ -126,9 +126,9 @@ def lint_metric_names(names: Sequence[Tuple[str, str]]) -> List[str]:
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of an ascending-sorted sequence.
 
-    Exactly the interpolation :func:`repro.serving.loadtest.percentile` uses
-    (and a test pins them together), so server-side histogram percentiles and
-    client-side loadtest percentiles are directly comparable.
+    Histograms, the proxy and the loadtest harness all read percentiles
+    here, so server-side histogram percentiles and client-side loadtest
+    percentiles are directly comparable.
     """
     if not sorted_values:
         raise ValueError("cannot take a percentile of no samples")

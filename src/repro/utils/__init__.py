@@ -1,4 +1,4 @@
-"""Shared utilities: result serialization, timing, and seed management."""
+"""Shared utilities: result serialization and seed management."""
 
 from repro.utils.serialization import (
     dataclass_to_dict,
@@ -6,7 +6,6 @@ from repro.utils.serialization import (
     save_json,
     to_jsonable,
 )
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.seeding import spawn_seeds, stable_hash_seed
 
 __all__ = [
@@ -14,8 +13,6 @@ __all__ = [
     "dataclass_to_dict",
     "save_json",
     "load_json",
-    "Stopwatch",
-    "timed",
     "spawn_seeds",
     "stable_hash_seed",
 ]

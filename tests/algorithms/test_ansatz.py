@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ansatz import RandomAutoencoderAnsatz
-from repro.quantum.transpiler import unitaries_equivalent
+from tests.oracle import gate_by_gate_encoder_unitary, unitaries_equivalent
 
 
 class TestConstruction:
@@ -85,6 +85,12 @@ class TestCircuits:
         ansatz = RandomAutoencoderAnsatz(3, seed=9)
         unitary = ansatz.encoder_unitary()
         assert np.allclose(unitary @ unitary.conj().T, np.eye(8), atol=1e-9)
+
+    def test_encoder_unitary_matches_the_gate_by_gate_oracle(self):
+        ansatz = RandomAutoencoderAnsatz(3, seed=7)
+        assert np.allclose(ansatz.encoder_unitary(),
+                           gate_by_gate_encoder_unitary(ansatz), rtol=0,
+                           atol=1e-12)
 
     def test_with_new_angles_keeps_structure(self):
         ansatz = RandomAutoencoderAnsatz(3, num_layers=4, entanglement="ring", seed=1)

@@ -14,7 +14,7 @@ from repro.algorithms.autoencoder import (
 )
 from repro.algorithms.swap_test import p1_from_counts
 from repro.encoding.amplitude import amplitudes_from_features
-from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
+from repro.quantum.simulator import DensityMatrixSimulator
 
 
 def sample_amplitudes(seed=0, num_qubits=3):
@@ -134,13 +134,12 @@ class TestAnalyticFastPath:
         simulated = final.probability_of_outcome(6, 1)
         assert analytic == pytest.approx(simulated, abs=1e-9)
 
-    def test_analytic_matches_statevector_sampling(self):
+    def test_analytic_matches_sampled_counts(self):
         ansatz = RandomAutoencoderAnsatz(2, seed=11)
         amplitudes = sample_amplitudes(4, 2)
         analytic = analytic_swap_test_p1(amplitudes, ansatz, 1)
         circuit = build_autoencoder_circuit(amplitudes, ansatz, 1, measure=True)
-        result = StatevectorSimulator(seed=3, max_trajectories=200).run(circuit,
-                                                                        shots=4000)
+        result = DensityMatrixSimulator(seed=3).run(circuit, shots=4000)
         sampled = p1_from_counts(result.counts)
         assert abs(sampled - analytic) < 0.05
 

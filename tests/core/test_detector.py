@@ -109,17 +109,15 @@ class TestFitAndScores:
         with pytest.raises(ValueError):
             self._detector().fit(np.zeros(10))
 
-    def test_statevector_backend_runs(self):
-        dataset = easy_dataset().subset(range(30))
-        detector = QuorumDetector(ensemble_groups=2, backend="statevector",
-                                  shots=256, seed=2)
-        detector.fit(dataset)
-        assert detector.anomaly_scores().shape == (30,)
+    def test_statevector_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="analytic.*density_matrix"):
+            QuorumConfig(backend="statevector")
 
     def test_density_matrix_backend_matches_analytic_without_shots(self):
         dataset = easy_dataset().subset(range(24))
         analytic = QuorumDetector(ensemble_groups=2, shots=None, seed=5).fit(dataset)
         circuit_level = QuorumDetector(ensemble_groups=2, shots=None, seed=5,
-                                       backend="density_matrix").fit(dataset)
-        assert np.allclose(analytic.anomaly_scores(),
-                           circuit_level.anomaly_scores(), atol=1e-6)
+                                       backend="density_matrix",
+                                       gate_level_encoding=True).fit(dataset)
+        assert np.max(np.abs(analytic.anomaly_scores()
+                             - circuit_level.anomaly_scores())) <= 1e-12

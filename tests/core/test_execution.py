@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.ansatz import RandomAutoencoderAnsatz
-from repro.core.ensemble import batch_amplitudes
-from repro.core.execution import (
-    AnalyticEngine,
-    DensityMatrixEngine,
-    StatevectorEngine,
-    make_engine,
-)
+from repro.algorithms.ansatz import RandomAutoencoderAnsatz, encoder_unitaries
+from repro.core.ensemble import batch_amplitudes, exact_chunk_p1
+from repro.core.execution import AnalyticEngine, DensityMatrixEngine, make_engine
 from repro.quantum.backends import FakeBrisbane
 
 
@@ -77,27 +72,40 @@ class TestAnalyticEngine:
 
 
 class TestEngineCrossValidation:
+    """Analytic runs against the gate-level fold, which does not go through
+    the analytic kernel."""
+
     def test_analytic_matches_density_matrix(self):
         ansatz = RandomAutoencoderAnsatz(3, seed=7)
         batch = make_batch(num_samples=4, seed=2)
         exact = AnalyticEngine(shots=None).p1_batch(batch, ansatz, 1)
-        circuit_level = DensityMatrixEngine(shots=None).p1_batch(batch, ansatz, 1)
-        assert np.allclose(exact, circuit_level, atol=1e-9)
+        circuit_level = DensityMatrixEngine(
+            shots=None, gate_level_encoding=True).p1_batch(batch, ansatz, 1)
+        assert np.max(np.abs(exact - circuit_level)) <= 1e-12
 
     def test_analytic_matches_density_matrix_full_compression(self):
         ansatz = RandomAutoencoderAnsatz(2, seed=8)
         batch = make_batch(num_samples=3, num_qubits=2, seed=3)
         exact = AnalyticEngine(shots=None).p1_batch(batch, ansatz, 2)
-        circuit_level = DensityMatrixEngine(shots=None).p1_batch(batch, ansatz, 2)
-        assert np.allclose(exact, circuit_level, atol=1e-9)
+        circuit_level = DensityMatrixEngine(
+            shots=None, gate_level_encoding=True).p1_batch(batch, ansatz, 2)
+        assert np.max(np.abs(exact - circuit_level)) <= 1e-12
 
-    def test_statevector_engine_agrees_statistically(self):
-        ansatz = RandomAutoencoderAnsatz(2, seed=9)
-        batch = make_batch(num_samples=2, num_qubits=2, seed=4)
-        exact = AnalyticEngine(shots=None).p1_batch(batch, ansatz, 1)
-        sampled = StatevectorEngine(shots=3000, rng=np.random.default_rng(5),
-                                    max_trajectories=150).p1_batch(batch, ansatz, 1)
-        assert np.max(np.abs(exact - sampled)) < 0.06
+    def test_noiseless_density_matrix_chunk_is_bitwise_the_analytic_stack(self):
+        ansatzes = [RandomAutoencoderAnsatz(3, seed=seed) for seed in (13, 14)]
+        amplitudes = np.stack([make_batch(num_samples=5, seed=seed)
+                               for seed in (7, 8)])
+        levels = [0, 1, 2]
+        analytic = AnalyticEngine(shots=None).exact_levels_stack(
+            amplitudes, encoder_unitaries(ansatzes), levels)
+        engine = DensityMatrixEngine(shots=None)
+        assert engine.analytic
+        assert np.array_equal(
+            exact_chunk_p1(engine, amplitudes, ansatzes, levels), analytic)
+        for member, ansatz in enumerate(ansatzes):
+            assert np.array_equal(
+                engine.p1_levels_batch(amplitudes[member], ansatz, levels),
+                analytic[member])
 
     def test_noisy_engine_stays_close_to_ideal(self):
         ansatz = RandomAutoencoderAnsatz(3, seed=10)
@@ -119,13 +127,6 @@ class TestMakeEngine:
         assert isinstance(engine, DensityMatrixEngine)
         assert engine.noise_model is not None
         assert engine.gate_level_encoding
-
-    def test_statevector(self):
-        assert isinstance(make_engine("statevector", 512), StatevectorEngine)
-
-    def test_statevector_requires_shots(self):
-        with pytest.raises(ValueError):
-            StatevectorEngine(shots=None)
 
     def test_analytic_cannot_be_noisy(self):
         with pytest.raises(ValueError):

@@ -19,11 +19,7 @@ from repro.algorithms.ansatz import RandomAutoencoderAnsatz
 from repro.core.config import QuorumConfig
 from repro.core.detector import QuorumDetector
 from repro.core.ensemble import batch_amplitudes
-from repro.core.execution import (
-    AnalyticEngine,
-    DensityMatrixEngine,
-    StatevectorEngine,
-)
+from repro.core.execution import AnalyticEngine, DensityMatrixEngine
 
 
 def toy_data(num_samples=50, num_features=9, seed=3):
@@ -101,17 +97,6 @@ class TestFusedLevelBatch:
         looped = np.stack([loop_engine.p1_batch(batch, ansatz, level)
                            for level in levels])
         assert fused.shape == (2, batch.shape[0])
-        assert np.array_equal(fused, looped)
-
-    def test_statevector_default_stacking_matches_loop(self):
-        ansatz = RandomAutoencoderAnsatz(3, seed=22)
-        batch = make_batch(seed=2)
-        fused = StatevectorEngine(
-            shots=128, rng=np.random.default_rng(3)
-        ).p1_levels_batch(batch, ansatz, [1, 2])
-        loop_engine = StatevectorEngine(shots=128, rng=np.random.default_rng(3))
-        looped = np.stack([loop_engine.p1_batch(batch, ansatz, level)
-                           for level in [1, 2]])
         assert np.array_equal(fused, looped)
 
     def test_fused_noisy_matches_per_level_loop(self):

@@ -14,6 +14,10 @@ path replaced, so the parity tests can hold the stacked path to them:
 * :func:`loop_fit` -- a whole fit, member by member, built from the above;
 * :func:`loop_serve` -- ``OnlineScorer.score`` / ``score_stateful``, member
   by member and level by level.
+
+Two circuit helpers serve the substrate tests: :func:`random_circuit` draws
+reproducible rotation/CX circuits, and :func:`unitaries_equivalent` compares
+unitaries up to a global phase.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.core.scoring import bucket_deviations, reference_deviations
 from repro.core.parallel import derive_member_seeds
 from repro.encoding.normalization import QuorumNormalizer
 from repro.quantum.backend import get_simulation_backend
+from repro.quantum.circuit import QuantumCircuit
 from repro.serving.artifact import ModelArtifact
 
 
@@ -45,6 +50,37 @@ def gate_by_gate_encoder_unitary(ansatz: RandomAutoencoderAnsatz) -> np.ndarray:
     ]
     return get_simulation_backend("numpy").unitary_from_instructions(
         instructions, ansatz.num_qubits)
+
+
+def random_circuit(num_qubits: int, depth: int,
+                   seed: Optional[int] = None) -> QuantumCircuit:
+    """``depth`` layers of one random RX/RY/RZ per qubit, then CX gates on a
+    random pairing of neighbouring qubits."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(depth):
+        for qubit in range(num_qubits):
+            gate = ("rx", "ry", "rz")[int(rng.integers(3))]
+            getattr(circuit, gate)(float(rng.uniform(0.0, 2.0 * np.pi)), qubit)
+        offset = int(rng.integers(2))
+        for control in range(offset, num_qubits - 1, 2):
+            circuit.cx(control, control + 1)
+    return circuit
+
+
+def unitaries_equivalent(first: np.ndarray, second: np.ndarray,
+                         atol: float = 1e-8) -> bool:
+    """Whether two unitaries are equal up to a global phase."""
+    first = np.asarray(first, dtype=complex)
+    second = np.asarray(second, dtype=complex)
+    if first.shape != second.shape:
+        return False
+    # The largest entry of ``first`` fixes the relative phase.
+    index = np.unravel_index(np.argmax(np.abs(first)), first.shape)
+    if abs(second[index]) < 1e-12:
+        return False
+    phase = first[index] / second[index]
+    return bool(np.allclose(first, phase * second, atol=atol))
 
 
 def loop_bucket_statistics(p1_values: np.ndarray,

@@ -11,7 +11,7 @@ from repro.quantum.backend import (
     register_simulation_backend,
 )
 from repro.quantum.density_matrix import DensityMatrix
-from repro.quantum.statevector import Statevector, apply_unitary_to_tensor
+from repro.quantum.statevector import apply_unitary_to_tensor
 
 
 def random_states(rng, batch, num_qubits):
@@ -98,57 +98,16 @@ class TestStatevectorPrimitives:
         with pytest.raises(ValueError):
             self.backend.apply_gate_batch(np.ones((2, 3)), np.eye(2), [0])
 
-    def test_apply_unitary_batch_matches_per_row(self):
+    def test_apply_unitary_stack_matches_per_row(self):
         rng = np.random.default_rng(1)
-        states = random_states(rng, 5, 3)
-        unitary = random_unitary(rng, 3)
-        batched = self.backend.apply_unitary_batch(states, unitary)
-        for row in range(5):
-            assert np.allclose(batched[row], unitary @ states[row], atol=1e-10)
-
-    def test_probability_one_batch_matches_statevector(self):
-        rng = np.random.default_rng(2)
-        states = random_states(rng, 5, 3)
-        for qubit in range(3):
-            probs = self.backend.probability_one_batch(states, qubit)
+        states = np.stack([random_states(rng, 5, 3) for _ in range(2)])
+        unitaries = np.stack([random_unitary(rng, 3) for _ in range(2)])
+        stacked = self.backend.apply_unitary_stack(states, unitaries)
+        for member in range(2):
             for row in range(5):
-                expected = Statevector(states[row]).probability_of_outcome(qubit, 1)
-                assert probs[row] == pytest.approx(expected, abs=1e-12)
-
-    def test_collapse_qubit_batch(self):
-        rng = np.random.default_rng(3)
-        states = random_states(rng, 4, 3)
-        outcomes = np.array([0, 1, 0, 1])
-        collapsed = self.backend.collapse_qubit_batch(states, 1, outcomes)
-        assert np.allclose(np.linalg.norm(collapsed, axis=1), 1.0)
-        post = self.backend.probability_one_batch(collapsed, 1)
-        assert np.allclose(post, outcomes, atol=1e-12)
-
-    def test_collapse_with_reset_moves_to_zero(self):
-        rng = np.random.default_rng(4)
-        states = random_states(rng, 4, 3)
-        outcomes = np.array([1, 1, 0, 1])
-        reset = self.backend.collapse_qubit_batch(states, 0, outcomes,
-                                                  reset_to_zero=True)
-        assert np.allclose(self.backend.probability_one_batch(reset, 0), 0.0,
-                           atol=1e-12)
-        assert np.allclose(np.linalg.norm(reset, axis=1), 1.0)
-
-    def test_collapse_impossible_outcome_raises(self):
-        states = zero_states(2, 2)  # qubit 0 is definitely 0
-        with pytest.raises(RuntimeError):
-            self.backend.collapse_qubit_batch(states, 0, np.array([1, 1]))
-
-    def test_overlap_batch(self):
-        rng = np.random.default_rng(5)
-        states_a = random_states(rng, 6, 3)
-        states_b = random_states(rng, 6, 3)
-        overlaps = self.backend.overlap_batch(states_a, states_b)
-        for row in range(6):
-            expected = Statevector(states_a[row]).fidelity(
-                Statevector(states_b[row]))
-            assert overlaps[row] == pytest.approx(expected, abs=1e-12)
-        assert np.allclose(self.backend.overlap_batch(states_a, states_a), 1.0)
+                assert np.allclose(stacked[member, row],
+                                   unitaries[member] @ states[member, row],
+                                   atol=1e-10)
 
 
 class TestDensityPrimitives:
@@ -173,37 +132,6 @@ class TestDensityPrimitives:
             expected = DensityMatrix(rhos[row]).evolve_gate(gate, qubits)
             assert np.allclose(batched[row], expected.data, atol=1e-10)
 
-    def test_evolve_density_batch(self):
-        rng = np.random.default_rng(8)
-        states = random_states(rng, 3, 2)
-        rhos = self.backend.density_from_states(states)
-        unitary = random_unitary(rng, 2)
-        evolved = self.backend.evolve_density_batch(rhos, unitary)
-        for row in range(3):
-            expected = unitary @ rhos[row] @ unitary.conj().T
-            assert np.allclose(evolved[row], expected, atol=1e-10)
-
-    def test_reset_low_qubits_matches_sequential_reset(self):
-        rng = np.random.default_rng(9)
-        states = random_states(rng, 3, 3)
-        rhos = self.backend.density_from_states(states)
-        for num_reset in (0, 1, 2, 3):
-            batched = self.backend.reset_low_qubits_density_batch(rhos, num_reset)
-            for row in range(3):
-                expected = DensityMatrix(rhos[row])
-                for qubit in range(num_reset):
-                    expected = expected.reset_qubit(qubit)
-                assert np.allclose(batched[row], expected.data, atol=1e-10)
-
-    def test_expectation_batch(self):
-        rng = np.random.default_rng(10)
-        states = random_states(rng, 4, 2)
-        probes = random_states(rng, 4, 2)
-        rhos = self.backend.density_from_states(states)
-        values = self.backend.expectation_batch(rhos, probes)
-        for row in range(4):
-            expected = np.real(probes[row].conj() @ rhos[row] @ probes[row])
-            assert values[row] == pytest.approx(expected, abs=1e-12)
 
 
 class TestUnitaryFromInstructions:
@@ -301,20 +229,20 @@ class TestFloat32Backend:
     def test_states_are_single_precision_results_float64(self):
         states = self.float32.as_states(random_states(self.rng, 4, 3))
         assert states.dtype == np.complex64
-        probabilities = self.float32.probability_one_batch(states, 0)
-        assert probabilities.dtype == np.float64
+        overlaps = self.float32.compression_overlap_levels(states, [1])
+        assert overlaps.dtype == np.float64
 
     def test_statevector_kernels_cross_validate(self):
-        states = random_states(self.rng, 8, 3)
-        unitary = random_unitary(self.rng, 3)
-        exact = self.reference.apply_unitary_batch(
-            self.reference.as_states(states), unitary)
-        single = self.float32.apply_unitary_batch(
-            self.float32.as_states(states), unitary)
+        states = random_states(self.rng, 8, 3)[None]
+        unitaries = random_unitary(self.rng, 3)[None]
+        exact = self.reference.apply_unitary_stack(states, unitaries)
+        single = self.float32.apply_unitary_stack(states, unitaries)
+        assert single.dtype == np.complex64
         assert np.allclose(single, exact, atol=1e-5)
         assert np.allclose(
-            self.float32.overlap_batch(single, single),
-            self.reference.overlap_batch(exact, exact), atol=1e-5)
+            self.float32.compression_overlap_levels(single[0], [1, 2]),
+            self.reference.compression_overlap_levels(exact[0], [1, 2]),
+            atol=1e-5)
 
     def test_density_kernels_cross_validate(self):
         states = random_states(self.rng, 5, 3)
@@ -322,15 +250,11 @@ class TestFloat32Backend:
             self.reference.as_states(states))
         rhos32 = self.float32.density_from_states(
             self.float32.as_states(states))
-        reset64 = self.reference.reset_low_qubits_density_batch(rhos64, 1)
-        reset32 = self.float32.reset_low_qubits_density_batch(rhos32, 1)
-        assert np.allclose(reset32, reset64, atol=1e-5)
-        expect64 = self.reference.expectation_batch(
-            reset64, self.reference.as_states(states))
-        expect32 = self.float32.expectation_batch(
-            reset32, self.float32.as_states(states))
-        assert expect32.dtype == np.float64
-        assert np.allclose(expect32, expect64, atol=1e-5)
+        gate = random_unitary(self.rng, 2)
+        evolved64 = self.reference.apply_gate_density_batch(rhos64, gate,
+                                                            [0, 2])
+        evolved32 = self.float32.apply_gate_density_batch(rhos32, gate, [0, 2])
+        assert np.allclose(evolved32, evolved64, atol=1e-5)
 
     def test_engines_cross_validate_against_reference(self):
         from repro.algorithms.ansatz import RandomAutoencoderAnsatz
@@ -340,7 +264,10 @@ class TestFloat32Backend:
         ansatz = RandomAutoencoderAnsatz(3, seed=17)
         values = self.rng.uniform(0.0, 1.0 / np.sqrt(7), size=(12, 7))
         batch = batch_amplitudes(values, 3)
-        for engine_cls in (AnalyticEngine, DensityMatrixEngine):
+        engines = (AnalyticEngine, DensityMatrixEngine,
+                   lambda **kwargs: DensityMatrixEngine(
+                       gate_level_encoding=True, **kwargs))
+        for engine_cls in engines:
             exact = engine_cls(
                 shots=None, simulation_backend="numpy"
             ).p1_levels_batch(batch, ansatz, [1, 2])

@@ -7,7 +7,7 @@ import pytest
 
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum import gates
-from repro.quantum.transpiler import unitaries_equivalent
+from tests.oracle import unitaries_equivalent
 
 
 class TestCircuitConstruction:

@@ -1,8 +1,8 @@
 """Compiled-vs-interpreted parity suite for :mod:`repro.quantum.compiler`.
 
-The compiler may reassociate operator products (fusing gate runs into dense
-blocks, pulling the readout projector back through the channel adjoint), but it
-must never change *what* is computed: every compiled artifact is checked
+The compiler may reassociate operator products (pulling the readout projector
+back through the channel adjoint), but it must never change *what* is
+computed: every compiled observable is checked
 against the per-circuit density-matrix simulator to ``<= 1e-12`` on the
 ``complex128`` backend (and to single precision on ``numpy-float32``), across
 noise models, random ansatz/level combinations, and Hypothesis-driven random
@@ -25,7 +25,6 @@ from repro.core.ensemble import batch_amplitudes
 from repro.core.execution import AnalyticEngine, DensityMatrixEngine
 from repro.quantum.backends import FakeBrisbane
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.circuit_library import random_circuit
 from repro.quantum.compiler import (
     CircuitCompiler,
     circuit_signature,
@@ -34,8 +33,7 @@ from repro.quantum.compiler import (
 )
 from repro.quantum.noise import NoiseModel, QuantumError, depolarizing_kraus
 from repro.quantum.simulator import DensityMatrixSimulator
-from repro.quantum.transpiler import unitaries_equivalent
-from tests.oracle import gate_by_gate_encoder_unitary
+from tests.oracle import random_circuit
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -65,48 +63,6 @@ NOISE_MODELS = {
     "depolarizing": lambda total_qubits: depolarizing_model(),
     "noiseless": lambda total_qubits: None,
 }
-
-
-class TestUnitaryCompilation:
-    def test_fused_encoder_is_bitwise_the_gate_by_gate_unitary(self):
-        ansatz = RandomAutoencoderAnsatz(3, seed=7)
-        compiler = CircuitCompiler()
-        fused = compiler.fused_unitary(
-            ansatz.encoder_circuit(list(range(3))))
-        assert np.array_equal(fused, gate_by_gate_encoder_unitary(ansatz))
-        # The engines' encoder comes from `encoder_unitaries` instead.
-        assert np.allclose(fused, ansatz.encoder_unitary(), rtol=0,
-                           atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=seeds)
-    def test_unitary_program_matches_dense_circuit_unitary(self, seed):
-        circuit = random_circuit(num_qubits=3, depth=8, seed=seed)
-        compiler = CircuitCompiler()
-        fused = compiler.fused_unitary(circuit)
-        assert np.allclose(fused, circuit.to_unitary(), atol=1e-10)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=seeds)
-    def test_optimizing_compiler_is_equivalent_up_to_phase(self, seed):
-        circuit = random_circuit(num_qubits=3, depth=10, seed=seed)
-        plain = CircuitCompiler(optimize=False).fused_unitary(circuit)
-        optimized = CircuitCompiler(optimize=True).fused_unitary(circuit)
-        assert unitaries_equivalent(plain, optimized, atol=1e-8)
-
-    def test_unitary_program_rejects_non_unitary_instructions(self):
-        circuit = QuantumCircuit(2, 1)
-        circuit.h(0)
-        circuit.reset(0)
-        with pytest.raises(ValueError, match="unitary programs"):
-            CircuitCompiler().unitary_program(circuit)
-
-    def test_compiled_operators_are_read_only(self):
-        ansatz = RandomAutoencoderAnsatz(2, seed=3)
-        fused = CircuitCompiler().fused_unitary(
-            ansatz.encoder_circuit(list(range(2))))
-        with pytest.raises(ValueError):
-            fused[0, 0] = 0.0
 
 
 class TestDualObservable:
@@ -288,18 +244,18 @@ class TestCompilerCache:
         compiler = CircuitCompiler(max_entries=2)
         for seed in range(5):
             circuit = random_circuit(num_qubits=2, depth=3, seed=seed)
-            compiler.fused_unitary(circuit)
+            compiler.dual_observable(circuit, None, 0)
         assert compiler.cache_size() <= 2
 
     def test_lru_eviction_is_byte_bounded(self):
         """Dense observables are large; the cache evicts by payload bytes,
         not just entry count."""
-        one_entry = CircuitCompiler().fused_unitary(
-            random_circuit(num_qubits=3, depth=3, seed=0)).nbytes
+        one_entry = CircuitCompiler().dual_observable(
+            random_circuit(num_qubits=3, depth=3, seed=0), None, 0).nbytes
         compiler = CircuitCompiler(max_bytes=int(2.5 * one_entry))
         for seed in range(5):
-            compiler.fused_unitary(random_circuit(num_qubits=3, depth=3,
-                                                  seed=seed))
+            compiler.dual_observable(random_circuit(num_qubits=3, depth=3,
+                                                    seed=seed), None, 0)
         assert compiler.cache_bytes() <= 2.5 * one_entry
         assert compiler.cache_size() == 2
 
@@ -325,7 +281,8 @@ class TestCompilerCache:
         import pickle
 
         compiler = CircuitCompiler(max_entries=7, max_bytes=1 << 20)
-        compiler.fused_unitary(random_circuit(num_qubits=2, depth=3, seed=0))
+        compiler.dual_observable(random_circuit(num_qubits=2, depth=3, seed=0),
+                                 None, 0)
         clone = pickle.loads(pickle.dumps(compiler))
         assert clone.max_entries == 7
         assert clone.max_bytes == 1 << 20

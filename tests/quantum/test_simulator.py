@@ -1,4 +1,4 @@
-"""Tests for the shot-based execution engines."""
+"""Tests for the per-sample density-matrix simulator."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from repro.quantum.backends import FakeBrisbane
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel, QuantumError, ReadoutError, depolarizing_kraus
-from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
+from repro.quantum.simulator import DensityMatrixSimulator
 
 
 def bell_circuit(measured=True):
@@ -19,96 +19,36 @@ def bell_circuit(measured=True):
     return circuit
 
 
-class TestStatevectorSimulator:
+class TestDensityMatrixSimulator:
     def test_deterministic_circuit_counts(self):
         circuit = QuantumCircuit(2)
         circuit.x(0).measure_all()
-        result = StatevectorSimulator(seed=1).run(circuit, shots=100)
+        result = DensityMatrixSimulator(seed=1).run(circuit, shots=100)
         assert result.counts == {"01": 100}
 
     def test_bell_counts_are_balanced(self):
-        result = StatevectorSimulator(seed=2).run(bell_circuit(), shots=4000)
+        result = DensityMatrixSimulator(seed=2).run(bell_circuit(), shots=4000)
         assert set(result.counts) == {"00", "11"}
         assert abs(result.counts["00"] - 2000) < 200
-
-    def test_no_measurement_returns_statevector(self):
-        result = StatevectorSimulator(seed=0).run(bell_circuit(measured=False),
-                                                  shots=10)
-        assert result.counts == {}
-        assert result.statevector is not None
-        assert np.isclose(abs(result.statevector.data[0]) ** 2, 0.5)
-
-    def test_negative_shots_raises(self):
-        with pytest.raises(ValueError):
-            StatevectorSimulator().run(bell_circuit(), shots=-1)
-
-    def test_initialize_instruction(self):
-        circuit = QuantumCircuit(2)
-        amplitudes = np.array([0.5, 0.5, 0.5, 0.5])
-        circuit.initialize(amplitudes, [0, 1]).measure_all()
-        result = StatevectorSimulator(seed=3).run(circuit, shots=4000)
-        assert set(result.counts) == {"00", "01", "10", "11"}
 
     def test_initialize_subset_of_qubits(self):
         circuit = QuantumCircuit(3)
         circuit.initialize([0.0, 1.0], [1])
         circuit.measure_all()
-        result = StatevectorSimulator(seed=4).run(circuit, shots=50)
+        result = DensityMatrixSimulator(seed=4).run(circuit, shots=50)
         assert result.counts == {"010": 50}
-
-    def test_reset_gives_zero(self):
-        circuit = QuantumCircuit(1)
-        circuit.x(0).reset(0).measure(0, 0)
-        result = StatevectorSimulator(seed=5).run(circuit, shots=64)
-        assert result.counts == {"0": 64}
 
     def test_reset_on_superposition(self):
         circuit = QuantumCircuit(1)
         circuit.h(0).reset(0).measure(0, 0)
-        result = StatevectorSimulator(seed=6).run(circuit, shots=64)
+        result = DensityMatrixSimulator(seed=6).run(circuit, shots=64)
         assert result.counts == {"0": 64}
 
-    def test_reset_of_entangled_qubit_leaves_partner_mixed(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0).cx(0, 1).reset(0)
-        circuit.measure(0, 0).measure(1, 1)
-        result = StatevectorSimulator(seed=7).run(circuit, shots=2000)
-        # Qubit 0 must always read 0; qubit 1 is split roughly 50/50.
-        assert all(key[1] == "0" for key in result.counts)
-        ones = result.counts.get("10", 0)
-        assert abs(ones - 1000) < 200
-
-    def test_mid_circuit_measurement_collapses(self):
-        circuit = QuantumCircuit(1)
-        circuit.h(0).measure(0, 0).x(0).measure(0, 0)
-        result = StatevectorSimulator(seed=8).run(circuit, shots=200)
-        # The final measurement overwrites clbit 0 with the flipped outcome.
-        assert set(result.counts) <= {"0", "1"}
-        assert sum(result.counts.values()) == 200
-
-    def test_max_trajectories_cap(self):
-        simulator = StatevectorSimulator(seed=9, max_trajectories=10)
-        circuit = QuantumCircuit(1)
-        circuit.h(0).reset(0).h(0).measure(0, 0)
-        result = simulator.run(circuit, shots=1000)
-        assert result.metadata["trajectories"] <= 10
-        assert sum(result.counts.values()) == 1000
-
     def test_result_probability_helpers(self):
-        result = StatevectorSimulator(seed=10).run(bell_circuit(), shots=1000)
+        result = DensityMatrixSimulator(seed=10).run(bell_circuit(), shots=1000)
         assert np.isclose(result.probability("00") + result.probability("11"), 1.0)
         assert np.isclose(result.marginal_probability(0, 0),
                           result.probability("00"), atol=1e-9)
-
-
-class TestDensityMatrixSimulator:
-    def test_matches_statevector_on_unitary_circuit(self):
-        circuit = bell_circuit()
-        sv_result = StatevectorSimulator(seed=1).run(circuit, shots=8000)
-        dm_result = DensityMatrixSimulator(seed=1).run(circuit, shots=8000)
-        sv_p00 = sv_result.probability("00")
-        dm_p00 = dm_result.probability("00")
-        assert abs(sv_p00 - dm_p00) < 0.05
 
     def test_exact_reset_behaviour(self):
         circuit = QuantumCircuit(2)

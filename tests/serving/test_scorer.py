@@ -17,7 +17,8 @@ from repro.core.ensemble import CHUNK_ROWS, members_per_chunk
 from repro.core.execution import AnalyticEngine
 from repro.quantum.compiler import CircuitCompiler
 from repro.serving import scorer as scorer_module
-from repro.serving.artifact import MemberArtifact, load_model, save_model
+from repro.serving.artifact import (ArtifactCorruptError, MemberArtifact,
+                                   load_model, save_model)
 from repro.serving.scorer import OnlineScorer
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -84,14 +85,17 @@ class TestReplayParity:
             replay = scorer.score(data, mode="replay")
         assert np.array_equal(replay.scores, detector.anomaly_scores())
 
-    def test_statevector(self, tmp_path):
-        data = _toy_data(samples=20, features=5)
-        detector, path = _fit_and_save(
-            tmp_path, data, ensemble_groups=2, seed=13, shots=256,
-            backend="statevector")
-        with OnlineScorer(load_model(path)) as scorer:
-            replay = scorer.score(data, mode="replay")
-        assert np.array_equal(replay.scores, detector.anomaly_scores())
+    def test_statevector_artifact_is_rejected(self, tmp_path):
+        """An artifact whose config names the retired statevector engine
+        fails to load, naming the engines that remain."""
+        _, path = _fit_and_save(tmp_path, _toy_data(samples=20, features=5),
+                                ensemble_groups=2, seed=13, shots=256)
+        payload = json.loads(path.read_text())
+        payload["config"]["backend"] = "statevector"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactCorruptError,
+                           match="analytic.*density_matrix.*statevector"):
+            load_model(path)
 
     def test_replay_in_a_fresh_process(self, tmp_path):
         """The acceptance criterion verbatim: a new interpreter, no refit."""

@@ -13,7 +13,6 @@ import pytest
 from repro.core.detector import QuorumDetector
 from repro.serving.artifact import save_model
 from repro.serving.jobs import JobManager
-from repro.serving.loadtest import percentile as loadtest_percentile
 from repro.serving.models import JobSubmitRequest
 from repro.serving.proxy import RoundRobinProxy
 from repro.serving.registry import ModelRegistry
@@ -134,8 +133,9 @@ class TestHistogram:
             Histogram("demo_wait_seconds", buckets=())
 
     def test_percentiles_match_loadtest_percentile_exactly(self):
-        """The tentpole pin: server-side histogram percentiles interpolate
-        exactly like the loadtest's client-side percentile function."""
+        """Server-side histogram percentiles interpolate exactly like
+        :func:`percentile`, the function the loadtest's client-side
+        percentiles use."""
         rng = np.random.default_rng(7)
         values = rng.exponential(scale=0.02, size=311).tolist()
         histogram = Histogram("demo_wait_seconds",
@@ -145,9 +145,7 @@ class TestHistogram:
         ordered = sorted(values)
         reported = histogram.percentiles((50.0, 95.0, 99.0))
         for q in (50.0, 95.0, 99.0):
-            assert reported[f"p{q:g}"] == loadtest_percentile(ordered, q)
-            # And the module-level function is the same math too.
-            assert percentile(ordered, q) == loadtest_percentile(ordered, q)
+            assert reported[f"p{q:g}"] == percentile(ordered, q)
 
     def test_reservoir_is_bounded(self):
         histogram = Histogram("demo_wait_seconds", reservoir_size=8)

@@ -30,6 +30,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig42"])
 
+    def test_statevector_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fit", "--dataset", "letter",
+                                       "--save-model", "model.json",
+                                       "--backend", "statevector"])
+        error = capsys.readouterr().err
+        assert "invalid choice: 'statevector'" in error
+        allowed = error.split("choose from")[1]
+        assert "analytic" in allowed and "density_matrix" in allowed
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):

@@ -75,6 +75,36 @@ class TestBatchedDensityMatrixEngine:
         assert np.all(sampled * 128 == np.round(sampled * 128))
 
 
+class TestEntanglementLayouts:
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("entanglement", ["linear", "ring", "full"])
+    def test_engines_agree_with_the_per_sample_circuit(self, entanglement,
+                                                        num_qubits):
+        """Every level of every layout: the noiseless density-matrix run is
+        the analytic kernel, and both it and the gate-level fold match the
+        full ``2n+1``-qubit circuit per sample."""
+        ansatz = RandomAutoencoderAnsatz(num_qubits, entanglement=entanglement,
+                                         seed=25)
+        batch = make_batch(num_samples=3, num_qubits=num_qubits, seed=6)
+        levels = list(range(num_qubits + 1))
+        analytic = AnalyticEngine(shots=None).p1_levels_batch(batch, ansatz,
+                                                              levels)
+        noiseless = DensityMatrixEngine(shots=None).p1_levels_batch(
+            batch, ansatz, levels)
+        folded = DensityMatrixEngine(
+            shots=None, gate_level_encoding=True).p1_levels_batch(
+                batch, ansatz, levels)
+        simulator = DensityMatrixSimulator()
+        circuit_level = np.array([
+            [simulator.evolve(build_autoencoder_circuit(
+                row, ansatz, level, measure=False)).probability_of_outcome(
+                    2 * num_qubits, 1) for row in batch]
+            for level in levels])
+        assert np.array_equal(noiseless, analytic)
+        assert np.max(np.abs(folded - circuit_level)) <= 1e-12
+        assert np.max(np.abs(analytic - circuit_level)) <= 1e-12
+
+
 class TestNormalizationGuard:
     @pytest.mark.parametrize("engine_factory", [
         lambda: AnalyticEngine(shots=None),

@@ -44,6 +44,50 @@ class TestDensityMatrixSimulator:
         result = DensityMatrixSimulator(seed=6).run(circuit, shots=64)
         assert result.counts == {"0": 64}
 
+    def test_no_measurement_returns_the_density_matrix(self):
+        result = DensityMatrixSimulator(seed=0).run(bell_circuit(measured=False),
+                                                    shots=10)
+        assert result.counts == {}
+        assert result.density_matrix is not None
+        assert np.isclose(result.density_matrix.probabilities()[0], 0.5)
+
+    def test_initialize_instruction(self):
+        circuit = QuantumCircuit(2)
+        amplitudes = np.array([0.5, 0.5j, -0.5, 0.5])
+        circuit.initialize(amplitudes, [0, 1])
+        state = DensityMatrixSimulator().evolve(circuit)
+        assert np.allclose(state.data, np.outer(amplitudes, amplitudes.conj()))
+        circuit.measure_all()
+        result = DensityMatrixSimulator(seed=3).run(circuit, shots=4000)
+        assert set(result.counts) == {"00", "01", "10", "11"}
+
+    def test_reset_gives_zero(self):
+        circuit = QuantumCircuit(1)
+        circuit.x(0).reset(0).measure(0, 0)
+        result = DensityMatrixSimulator(seed=5).run(circuit, shots=64)
+        assert result.counts == {"0": 64}
+
+    def test_reset_of_entangled_qubit_leaves_partner_mixed(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0).cx(0, 1).reset(0)
+        circuit.measure(0, 0).measure(1, 1)
+        result = DensityMatrixSimulator(seed=7).run(circuit, shots=2000)
+        # Qubit 0 must always read 0; qubit 1 is split roughly 50/50.
+        assert all(key[1] == "0" for key in result.counts)
+        assert abs(result.counts.get("10", 0) - 1000) < 200
+
+    def test_seeded_runs_reproduce(self):
+        first = DensityMatrixSimulator(seed=12).run(bell_circuit(), shots=500)
+        second = DensityMatrixSimulator().run(bell_circuit(), shots=500, seed=12)
+        assert first.counts == second.counts
+
+    def test_float32_backend_evolves_the_same_state(self):
+        circuit = QuantumCircuit(3)
+        circuit.h(0).cx(0, 1).ry(0.4, 2).cswap(2, 0, 1).reset(1)
+        reference = DensityMatrixSimulator().evolve(circuit)
+        single = DensityMatrixSimulator(backend="numpy-float32").evolve(circuit)
+        assert np.allclose(single.data, reference.data, atol=1e-6)
+
     def test_result_probability_helpers(self):
         result = DensityMatrixSimulator(seed=10).run(bell_circuit(), shots=1000)
         assert np.isclose(result.probability("00") + result.probability("11"), 1.0)
